@@ -97,7 +97,6 @@ def _cmd_check(args) -> int:
         spot=spot or 64,
         seed=args.seed,
         certificate=args.certificate,
-        threads=args.threads,
     )
     if args.format == "json":
         _emit(
@@ -110,7 +109,13 @@ def _cmd_check(args) -> int:
             }
         )
     else:
-        print(f"{report.verdict.value} (pattern {report.pattern.name}, n={fam.n}, size={len(fam)})")
+        sampled = ""
+        if report.mode == "spot" and report.verdict is Verdict.SATURATED:
+            sampled = f"sampled {report.checked} of {(1 << fam.n) - len(fam)} missing sets; "
+        print(
+            f"{report.verdict.value} ({sampled}pattern {report.pattern.name}, "
+            f"n={fam.n}, size={len(fam)})"
+        )
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -253,7 +258,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, pattern_default=None):
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("text", "json"), default="json")
         if pattern_default is None:
             p.add_argument("--pattern", required=True, help="keyword (chain:k, diamond, qk:k, v, lambda, antichain:k) or a .poset file")
@@ -271,23 +275,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="decomposition and invariant suite for a family file")
     p.add_argument("--family", required=True)
     p.add_argument("--dot", help="also write a class-colored Hasse DOT file here")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("satstar", help="exact minimum saturated-family size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--no-symmetry", action="store_true")
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_satstar)
 
     p = sub.add_parser("classify", help="all minimum saturated families up to relabeling")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("noextremes", help="minimum over saturated families avoiding {} and [n]")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_noextremes)
 

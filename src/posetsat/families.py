@@ -253,8 +253,9 @@ def superset_table(n: int, masks: Iterable[int]) -> np.ndarray:
         raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
     t = np.zeros(1 << n, dtype=bool)
     idx = list(masks)
-    if idx:
-        t[idx] = True
+    if not idx:
+        return t
+    t[idx] = True
     for k in range(n):
         t3 = t.reshape(-1, 2, 1 << k)
         t3[:, 0, :] |= t3[:, 1, :]
@@ -267,8 +268,9 @@ def subset_table(n: int, masks: Iterable[int]) -> np.ndarray:
         raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
     t = np.zeros(1 << n, dtype=bool)
     idx = list(masks)
-    if idx:
-        t[idx] = True
+    if not idx:
+        return t
+    t[idx] = True
     for k in range(n):
         t3 = t.reshape(-1, 2, 1 << k)
         t3[:, 1, :] |= t3[:, 0, :]

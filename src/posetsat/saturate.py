@@ -3,20 +3,28 @@
 A family is *saturated* for a pattern when it is pattern-free and every
 missing subset, once added, creates an induced copy; equivalently it is
 a maximal pattern-free family.  Full-mode checks scan all 2^n missing
-subsets in canonical order (capped at n <= 24); spot mode samples
-missing subsets uniformly and is clearly labeled non-exhaustive.
+subsets in canonical (cardinality, value) order (capped at n <= 24);
+spot mode samples missing subsets uniformly and is clearly labeled
+non-exhaustive unless the sample covers every missing subset.
 
-Reports are deterministic: the first failing missing set is selected by
-canonical order, never by scan schedule, so the same verdict and
-evidence come back regardless of the worker count.
+The full scan walks the missing subsets in numpy batches that start at
+2^12 masks and double up to a fixed cap, so a family that fails early
+stops early while a long scan pays numpy's per-call overhead rarely.
+For the diamond each batch is tested in one vector pass over the
+scanner's lookup tables; other patterns test the masks of a batch one
+at a time.  The scan stops at the first batch holding a failure, and the
+report names the canonical first failure, so verdict and evidence never
+depend on batch boundaries.  No per-mask Python object is kept unless a
+full certificate is requested.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from math import comb
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .detect import (
     validate_embedding,
 )
 from .families import (
+    MAX_TABLE_N,
     SetFamily,
     elements_of,
     family_to_json,
@@ -129,23 +138,57 @@ def is_free(f: SetFamily, p: PatternPoset) -> bool:
     return find_induced(f, p) is None
 
 
-def _missing_masks(f: SetFamily):
-    """Missing subsets in canonical (cardinality, value) order.
+def _missing_layers(f: SetFamily):
+    """Missing subsets of each cardinality 0..n, as ascending int64 arrays.
 
-    Same-cardinality masks are walked in increasing numeric order via
-    Gosper's hack, without materializing the 2^n range.
+    The c-sets below 2^(h+1) whose highest element is h are h's bit over
+    the (c-1)-sets below 2^h, which are a prefix of the previous layer;
+    so layer c is built from layer c-1 in O(C(n, c)) without a pass over
+    the whole 2^n range.
     """
-    if 0 not in f:
-        yield 0
-    limit = 1 << f.n
-    for c in range(1, f.n + 1):
-        m = (1 << c) - 1
-        while m < limit:
-            if m not in f:
-                yield m
-            u = m & (-m)
-            v = m + u
-            m = v + (((v ^ m) // u) >> 2)
+    n = f.n
+    members = np.array(f.members, dtype=np.int64)
+    sizes = np.array([m.bit_count() for m in f.members], dtype=np.int64)
+    layer = np.zeros(1, dtype=np.int64)
+    for c in range(n + 1):
+        if c:
+            layer = np.concatenate(
+                [layer[: comb(h, c - 1)] | (1 << h) for h in range(c - 1, n)]
+            )
+        present = members[sizes == c]
+        yield np.delete(layer, np.searchsorted(layer, present)) if len(present) else layer
+
+
+_FIRST_BATCH = 1 << 12
+_MAX_BATCH = 1 << 16
+
+
+def _missing_batches(f: SetFamily):
+    """Missing subsets in canonical order, in int64 batches of doubling
+    size (from _FIRST_BATCH up to _MAX_BATCH); only the last may be short."""
+    size, parts, count = _FIRST_BATCH, [], 0
+    for layer in _missing_layers(f):
+        while len(layer):
+            part, layer = layer[: size - count], layer[size - count:]
+            parts.append(part)
+            count += len(part)
+            if count == size:
+                yield np.concatenate(parts)
+                size, parts, count = min(2 * size, _MAX_BATCH), [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
+def _scalar_failure(creates):
+    """Batch test from a per-mask predicate: first failing position or None."""
+
+    def first_failure(batch: np.ndarray) -> int | None:
+        for i, m in enumerate(batch.tolist()):
+            if not creates(m):
+                return i
+        return None
+
+    return first_failure
 
 
 class _DiamondScanner:
@@ -195,6 +238,31 @@ class _DiamondScanner:
             if subtab[ds] and suptab[d | s]:
                 return True
         return False
+
+    def first_failure(self, batch: np.ndarray) -> int | None:
+        """Position of the first mask in batch whose addition creates no
+        diamond, or None; the vector form of creates().
+
+        Masks that some member already settles in the middle role are
+        dropped from the working set once they are an eighth of it, so
+        later members' passes touch mostly masks still open.
+        """
+        pos = np.flatnonzero(~(self.bottomable[batch] | self.topable[batch]))
+        s = batch[pos]
+        subtab, suptab = self.subtab, self.suptab
+        open_ = np.ones(len(s), dtype=bool)
+        for d in self.members:
+            if not len(s):
+                return None
+            ds = s & d
+            hit = (ds != d) & (ds != s) & subtab[ds] & suptab[s | d]
+            open_ &= ~hit
+            settled = len(s) - np.count_nonzero(open_)
+            if 8 * settled >= len(s):
+                pos, s = pos[open_], s[open_]
+                open_ = np.ones(len(s), dtype=bool)
+        rest = pos[open_]
+        return int(rest[0]) if len(rest) else None
 
     def _first_member(self, pred) -> int:
         for idx, m in enumerate(self.members):
@@ -255,14 +323,14 @@ def is_saturated(
     spot: int = 64,
     seed: int = 0,
     certificate: bool = False,
-    threads: int = 1,
 ) -> SaturationReport:
     """Decide freeness and saturation of f for pattern p.
 
     ``mode="full"`` scans every missing subset (n <= 24); ``mode="spot"``
     samples ``spot`` missing subsets uniformly with the given seed and
-    labels the report non-exhaustive.  With ``certificate=True`` the full
-    map missing-set -> embedding is materialized.
+    labels the report exhaustive only if the sample is every missing
+    subset.  With ``certificate=True`` the full map missing-set ->
+    embedding is materialized.
     """
     if mode not in ("full", "spot"):
         raise ValueError(f"mode must be 'full' or 'spot', got {mode!r}")
@@ -273,16 +341,21 @@ def is_saturated(
     if inner is not None:
         return SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner)
 
-    if p == DIAMOND:
+    scanner = None
+    if p != DIAMOND:
+        creates, witness = _generic_through(f, p)
+    elif f.n > MAX_TABLE_N:
+        creates = partial(creates_diamond, f.members)
+        witness = partial(find_induced_using, f, p=DIAMOND)
+    else:
         scanner = _DiamondScanner(f)
         creates, witness = scanner.creates, scanner.witness
-    else:
-        creates, witness = _generic_through(f, p)
 
     if mode == "spot":
         rng = random.Random(seed)
         total_missing = (1 << f.n) - len(f)
         k = min(spot, total_missing)
+        exhaustive = k == total_missing
         chosen: set[int] = set()
         while len(chosen) < k:
             m = rng.getrandbits(f.n)
@@ -292,60 +365,34 @@ def is_saturated(
         for m in sorted(chosen, key=member_key):
             if not creates(m):
                 return SaturationReport(
-                    Verdict.FREE_NOT_SATURATED, f, p, mode, False, len(chosen), missing=m, seed=seed
+                    Verdict.FREE_NOT_SATURATED, f, p, mode, exhaustive, k, missing=m, seed=seed
                 )
             if len(sample) < _SAMPLE_LIMIT:
                 sample.append((m, witness(m)))
         return SaturationReport(
-            Verdict.SATURATED, f, p, mode, False, k, sample=tuple(sample), seed=seed
+            Verdict.SATURATED, f, p, mode, exhaustive, k, sample=tuple(sample), seed=seed
         )
 
-    if threads <= 1:
-        checked = 0
-        first_bad: int | None = None
-        good: list[int] = []
-        for m in _missing_masks(f):
-            checked += 1
-            if creates(m):
-                good.append(m)
-            else:
-                first_bad = m
-                break
-    else:
-        missing = list(_missing_masks(f))
-        chunks = [missing[i::threads] for i in range(threads)]
+    first_failure = scanner.first_failure if scanner else _scalar_failure(creates)
+    checked = 0
+    head: list[int] = []
+    for batch in _missing_batches(f):
+        bad = first_failure(batch)
+        if bad is not None:
+            checked += bad + 1
+            return SaturationReport(
+                Verdict.FREE_NOT_SATURATED, f, p, mode, True, checked, missing=int(batch[bad])
+            )
+        if not head:
+            head = batch[:_SAMPLE_LIMIT].tolist()
+        checked += len(batch)
 
-        def scan(chunk):
-            ok, bad = [], None
-            for m in chunk:
-                if creates(m):
-                    ok.append(m)
-                else:
-                    bad = m
-                    break
-            return ok, bad
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-        bads = [bad for _, bad in results if bad is not None]
-        first_bad = min(bads, key=member_key) if bads else None
-        if first_bad is None:
-            good = sorted((m for ok, _ in results for m in ok), key=member_key)
-            checked = len(good)
-        else:
-            # match the sequential count: scanned up to the canonical first failure
-            good = []
-            checked = missing.index(first_bad) + 1
-
-    if first_bad is not None:
-        return SaturationReport(
-            Verdict.FREE_NOT_SATURATED, f, p, mode, True, checked, missing=first_bad
-        )
-
-    sample = tuple((m, witness(m)) for m in good[:_SAMPLE_LIMIT])
+    # Saturated: every missing mask passed, so the passing masks in scan
+    # order are the missing masks in canonical order.
+    sample = tuple((m, witness(m)) for m in head)
     cert = None
     if certificate:
-        cert = {m: witness(m) for m in good}
+        cert = {m: witness(m) for batch in _missing_batches(f) for m in batch.tolist()}
     report = SaturationReport(
         Verdict.SATURATED, f, p, mode, True, checked, certificate=cert, sample=sample
     )

@@ -344,7 +344,7 @@ def q3_probe(n: int, threads: int = 1) -> dict:
         raise ValueError(f"probe needs 4 <= n <= 6, got {n}")
     fam = q3_construction(n)
     expected = 3 * n - 2
-    report = is_saturated(fam, Q3, mode="full", threads=threads)
+    report = is_saturated(fam, Q3, mode="full")
     out = {
         "n": n,
         "family": family_to_json(fam),

@@ -84,6 +84,22 @@ def saturation_verdict(f: SetFamily, p: PatternPoset) -> str:
     return SATURATED
 
 
+def scan_reference(f: SetFamily, through) -> tuple[int, int | None, list[int]]:
+    """Scalar full scan: walk the missing sets in canonical order and stop
+    at the first one for which ``through(s)`` is false.
+
+    Returns (sets checked, first failing set or None, passing sets in
+    scan order), the numbers a full-mode report is built from.
+    """
+    missing = sorted((m for m in range(1 << f.n) if m not in f), key=member_key)
+    good = []
+    for checked, m in enumerate(missing, 1):
+        if not through(m):
+            return checked, m, good
+        good.append(m)
+    return len(good), None, good
+
+
 def diamond_quadruple(quad) -> bool:
     """Do the four masks form a diamond (b < c,d < e with c,d incomparable)?"""
     b, c, d, e = quad

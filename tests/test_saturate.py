@@ -1,11 +1,10 @@
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetsat.detect import find_induced
+from posetsat.detect import creates_diamond, validate_embedding
 from posetsat.families import SetFamily, complement_family, member_key
 from posetsat.posets import make_chain, make_diamond, make_hypercube, make_v
 from posetsat.saturate import (
@@ -77,12 +76,60 @@ def test_spot_mode_is_labeled_probabilistic():
     assert rep.to_json() == again.to_json()
 
 
+def test_spot_mode_covering_every_missing_set_is_exhaustive():
+    f = chain_family(4)
+    rep = is_saturated(f, D, mode="spot", spot=100)
+    assert rep.verdict is Verdict.SATURATED
+    assert rep.checked == 11 and rep.exhaustive is True
+    assert is_saturated(f, D, mode="spot", spot=11).exhaustive is True
+    assert is_saturated(f, D, mode="spot", spot=10).exhaustive is False
+
+
+def test_spot_mode_above_the_table_limit():
+    rep = is_saturated(chain_family(30), D, mode="spot", spot=16, seed=3)
+    assert rep.verdict is Verdict.SATURATED
+    assert rep.checked == 16 and rep.exhaustive is False
+    assert len(rep.sample) == 8
+    for m, emb in rep.sample:
+        assert emb.uses(m) and validate_embedding(emb) is None
+    assert rep.validate() is None
+    lone = SetFamily(30, (0,))
+    bad = is_saturated(lone, D, mode="spot", spot=16, seed=3)
+    assert bad.verdict is Verdict.FREE_NOT_SATURATED
+    assert bad.missing not in lone and not oracles.diamond_through(lone, bad.missing)
+
+
 def test_full_mode_cap():
     with pytest.raises(ValueError):
         is_saturated(SetFamily(25), D, mode="full")
 
 
+def assert_matches_scan_reference(f, p, through):
+    """A full-mode report, with and without a certificate, against the
+    scalar canonical-order walk of ``through`` in oracles.scan_reference."""
+    plain = is_saturated(f, p, mode="full")
+    cert = is_saturated(f, p, mode="full", certificate=True)
+    if plain.verdict is Verdict.NOT_FREE:
+        assert oracles.has_induced(f, p)
+        assert plain.checked == cert.checked == 0
+        return
+    checked, missing, good = oracles.scan_reference(f, through)
+    for rep in (plain, cert):
+        assert rep.exhaustive
+        assert (rep.checked, rep.missing) == (checked, missing)
+    if missing is not None:
+        assert plain.verdict is cert.verdict is Verdict.FREE_NOT_SATURATED
+        return
+    assert plain.verdict is cert.verdict is Verdict.SATURATED
+    assert [m for m, _ in plain.sample] == good[:8]
+    assert plain.certificate is None
+    assert list(cert.certificate) == good
+    assert plain.to_json() == {**cert.to_json(), "certificate_size": None}
+
+
 def test_thread_count_does_not_change_report():
+    # Reports depend on the family and pattern alone: the scan has no
+    # worker count, and each report equals the scalar reference walk.
     fams = [
         chain_family(4),
         SetFamily.of(3, [(1,), (2,), (1, 3), (2, 3)]),
@@ -90,11 +137,51 @@ def test_thread_count_does_not_change_report():
     ]
     for f in fams:
         for p in (D, make_v()):
-            solo = is_saturated(f, p, mode="full", threads=1)
-            multi = is_saturated(f, p, mode="full", threads=3)
-            assert json.dumps(solo.to_json(), sort_keys=True) == json.dumps(
-                multi.to_json(), sort_keys=True
-            )
+            assert_matches_scan_reference(f, p, lambda s: oracles.has_induced_using(f, s, p))
+
+
+def test_scan_matches_diamond_oracle_for_every_family_up_to_n3():
+    for n in (1, 2, 3):
+        for r in range((1 << n) + 1):
+            for combo in itertools.combinations(range(1 << n), r):
+                f = SetFamily(n, combo)
+                assert_matches_scan_reference(f, D, lambda s: oracles.diamond_through(f, s))
+
+
+@st.composite
+def scan_families(draw):
+    """Random families, which mostly fail early, and greedy saturated
+    families with and without one member, which scan far or to the end."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "greedy", "greedy-minus-one"]))
+    if kind == "random":
+        size = draw(st.integers(0, min(10, 1 << n)))
+        masks = draw(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
+        )
+        return SetFamily(n, tuple(masks))
+    g = greedy_saturate(SetFamily(n), D, order="shuffle", seed=draw(st.integers(0, 999)))
+    if kind == "greedy":
+        return g
+    return g.without(draw(st.sampled_from(g.members)))
+
+
+@given(scan_families())
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_creates_diamond_walk(f):
+    assert_matches_scan_reference(f, D, lambda s: creates_diamond(f.members, s))
+
+
+@pytest.mark.parametrize("k", [None, 8, 10, 12])
+def test_scan_past_the_first_batch(k):
+    # 2^13 - 14 missing sets span two batches; the chain without its
+    # k-set for 8 <= k <= 12 first fails past the first 2^12 of them.
+    f = chain_family(13)
+    if k is not None:
+        f = f.without((1 << k) - 1)
+        checked, _, _ = oracles.scan_reference(f, lambda s: creates_diamond(f.members, s))
+        assert checked > 1 << 12
+    assert_matches_scan_reference(f, D, lambda s: creates_diamond(f.members, s))
 
 
 def brute_verdict(f, p):
