@@ -15,7 +15,9 @@ scanner's lookup tables; other patterns test the masks of a batch one
 at a time.  The scan stops at the first batch holding a failure, and the
 report names the canonical first failure, so verdict and evidence never
 depend on batch boundaries.  No per-mask Python object is kept unless a
-full certificate is requested.
+full certificate is requested.  Spot mode sorts its sample into the same
+canonical order and tests it as one batch of the same kind; above the
+table limit the diamond is tested pairwise, one mask at a time.
 """
 
 from __future__ import annotations
@@ -192,8 +194,9 @@ def _scalar_failure(creates):
 
 
 class _DiamondScanner:
-    """Per-family tables answering "does adding s create a diamond?" in
-    O(|f|) per query after O(|f|^2 + 2^n n) preparation.
+    """Per-family tables answering "does adding s create a diamond?" for
+    a batch of masks in O(|f|) vector passes after O(|f|^2 + 2^n n)
+    preparation.
 
     The family must be diamond-free.  Bottom and top roles are table
     lookups against the intersections/unions of incomparable member
@@ -227,40 +230,18 @@ class _DiamondScanner:
         self.bottomable = superset_table(f.n, self.bottom_gens.keys())
         self.topable = subset_table(f.n, self.top_gens.keys())
 
-    def creates(self, s: int) -> bool:
-        if self.bottomable[s] or self.topable[s]:
-            return True
-        subtab, suptab = self.subtab, self.suptab
-        for d in self.members:
-            ds = d & s
-            if ds == d or ds == s:
-                continue
-            if subtab[ds] and suptab[d | s]:
-                return True
-        return False
-
     def first_failure(self, batch: np.ndarray) -> int | None:
         """Position of the first mask in batch whose addition creates no
-        diamond, or None; the vector form of creates().
-
-        Masks that some member already settles in the middle role are
-        dropped from the working set once they are an eighth of it, so
-        later members' passes touch mostly masks still open.
-        """
+        diamond, or None."""
         pos = np.flatnonzero(~(self.bottomable[batch] | self.topable[batch]))
         s = batch[pos]
         subtab, suptab = self.subtab, self.suptab
         open_ = np.ones(len(s), dtype=bool)
         for d in self.members:
-            if not len(s):
+            if not open_.any():
                 return None
             ds = s & d
-            hit = (ds != d) & (ds != s) & subtab[ds] & suptab[s | d]
-            open_ &= ~hit
-            settled = len(s) - np.count_nonzero(open_)
-            if 8 * settled >= len(s):
-                pos, s = pos[open_], s[open_]
-                open_ = np.ones(len(s), dtype=bool)
+            open_ &= ~((ds != d) & (ds != s) & subtab[ds] & suptab[s | d])
         rest = pos[open_]
         return int(rest[0]) if len(rest) else None
 
@@ -341,15 +322,15 @@ def is_saturated(
     if inner is not None:
         return SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner)
 
-    scanner = None
     if p != DIAMOND:
         creates, witness = _generic_through(f, p)
+        first_failure = _scalar_failure(creates)
     elif f.n > MAX_TABLE_N:
-        creates = partial(creates_diamond, f.members)
+        first_failure = _scalar_failure(partial(creates_diamond, f.members))
         witness = partial(find_induced_using, f, p=DIAMOND)
     else:
         scanner = _DiamondScanner(f)
-        creates, witness = scanner.creates, scanner.witness
+        first_failure, witness = scanner.first_failure, scanner.witness
 
     if mode == "spot":
         rng = random.Random(seed)
@@ -361,19 +342,18 @@ def is_saturated(
             m = rng.getrandbits(f.n)
             if m not in f and m not in chosen:
                 chosen.add(m)
-        sample: list[tuple[int, Embedding]] = []
-        for m in sorted(chosen, key=member_key):
-            if not creates(m):
-                return SaturationReport(
-                    Verdict.FREE_NOT_SATURATED, f, p, mode, exhaustive, k, missing=m, seed=seed
-                )
-            if len(sample) < _SAMPLE_LIMIT:
-                sample.append((m, witness(m)))
+        ordered = np.array(sorted(chosen, key=member_key), dtype=np.int64)
+        bad = first_failure(ordered)
+        if bad is not None:
+            return SaturationReport(
+                Verdict.FREE_NOT_SATURATED, f, p, mode, exhaustive, k,
+                missing=int(ordered[bad]), seed=seed,
+            )
+        sample = tuple((m, witness(m)) for m in ordered[:_SAMPLE_LIMIT].tolist())
         return SaturationReport(
-            Verdict.SATURATED, f, p, mode, exhaustive, k, sample=tuple(sample), seed=seed
+            Verdict.SATURATED, f, p, mode, exhaustive, k, sample=sample, seed=seed
         )
 
-    first_failure = scanner.first_failure if scanner else _scalar_failure(creates)
     checked = 0
     head: list[int] = []
     for batch in _missing_batches(f):

@@ -105,23 +105,28 @@ def test_full_mode_cap():
 
 
 def assert_matches_scan_reference(f, p, through):
-    """A full-mode report, with and without a certificate, against the
-    scalar canonical-order walk of ``through`` in oracles.scan_reference."""
+    """Full-mode reports, with and without a certificate, and a spot
+    report whose sample is every missing set, against the scalar
+    canonical-order walk of ``through`` in oracles.scan_reference."""
     plain = is_saturated(f, p, mode="full")
     cert = is_saturated(f, p, mode="full", certificate=True)
+    spot = is_saturated(f, p, mode="spot", spot=1 << f.n)
     if plain.verdict is Verdict.NOT_FREE:
         assert oracles.has_induced(f, p)
         assert plain.checked == cert.checked == 0
+        assert spot.verdict is Verdict.NOT_FREE
         return
     checked, missing, good = oracles.scan_reference(f, through)
     for rep in (plain, cert):
         assert rep.exhaustive
         assert (rep.checked, rep.missing) == (checked, missing)
+    assert (spot.exhaustive, spot.checked, spot.missing) == (True, (1 << f.n) - len(f), missing)
     if missing is not None:
-        assert plain.verdict is cert.verdict is Verdict.FREE_NOT_SATURATED
+        assert plain.verdict is cert.verdict is spot.verdict is Verdict.FREE_NOT_SATURATED
         return
-    assert plain.verdict is cert.verdict is Verdict.SATURATED
+    assert plain.verdict is cert.verdict is spot.verdict is Verdict.SATURATED
     assert [m for m, _ in plain.sample] == good[:8]
+    assert spot.to_json()["sample"] == plain.to_json()["sample"]
     assert plain.certificate is None
     assert list(cert.certificate) == good
     assert plain.to_json() == {**cert.to_json(), "certificate_size": None}
