@@ -180,7 +180,6 @@ def _cmd_satstar(args) -> int:
         pattern,
         size_cap=args.size_cap,
         symmetry=not args.no_symmetry,
-        threads=args.threads,
     )
     if args.format == "json":
         _emit(_manifest_payload(args, manifest))
@@ -195,7 +194,7 @@ def _cmd_satstar(args) -> int:
 
 def _cmd_classify(args) -> int:
     pattern = _load_pattern(args.pattern)
-    tagged, manifest = classify_minimum(args.n, pattern, threads=args.threads)
+    tagged, manifest = classify_minimum(args.n, pattern)
     if args.format == "json":
         _emit(_manifest_payload(args, manifest))
     else:
@@ -206,7 +205,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_noextremes(args) -> int:
     pattern = _load_pattern(args.pattern)
-    manifest = sat_star_no_extremes(args.n, pattern, threads=args.threads)
+    manifest = sat_star_no_extremes(args.n, pattern)
     if args.format == "json":
         _emit(_manifest_payload(args, manifest))
     else:
@@ -216,7 +215,7 @@ def _cmd_noextremes(args) -> int:
 
 
 def _cmd_q3probe(args) -> int:
-    report = q3_probe(args.n, threads=args.threads)
+    report = q3_probe(args.n)
     _emit(
         {
             "tool": "posetsat",
@@ -281,25 +280,21 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_satstar)
 
     p = sub.add_parser("classify", help="all minimum saturated families up to relabeling")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("noextremes", help="minimum over saturated families avoiding {} and [n]")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_noextremes)
 
     p = sub.add_parser("q3probe", help="verify the 3n-2 construction for the 3-cube pattern")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_q3probe)
 
     p = sub.add_parser("catalog", help="named saturated constructions for a pattern")

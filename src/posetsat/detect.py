@@ -12,21 +12,30 @@ lexicographically least along that search order.  A specialized diamond
 detector scans incomparable pairs instead, which is much cheaper for
 the 4-point pattern; both return identical witnesses on the diamond
 because their traversal orders coincide.
+
+The through-test ``creates_copy`` (does adding a set s create a copy
+through s?) needs no witness, so it searches differently: s is placed
+first, on one point per automorphism orbit of the pattern only, and
+every later point takes its candidates from the members above, below or
+incomparable to s, as in Ullmann's and VF2's candidate filtering.
+Witnesses through s come from ``find_induced_using``, which keeps the
+linear-extension order and so the lexicographically least witness.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .families import SetFamily, elements_of, member_key
+from .families import SetFamily, elements_of
 from .posets import PatternPoset, linear_extension, make_diamond
 
 DIAMOND = make_diamond()
 
-_BELOW = 0  # earlier point lies strictly below the current one
-_INCOMP = 1
+# How an earlier slot's point relates to the current one.
+_BELOW = 0  # strictly below
+_ABOVE = 1  # strictly above
+_INCOMP = 2
 
 
 @dataclass(frozen=True)
@@ -71,27 +80,51 @@ def validate_embedding(emb: Embedding) -> str | None:
 
 
 class _Plan:
-    """Search order and per-slot constraints for one pattern."""
+    """Search order and per-slot constraints for one pattern.
 
-    __slots__ = ("size", "order", "slot_of_point", "checks")
+    Without an anchor the order is the pattern's linear extension.  An
+    anchored plan puts the anchor point first and then, greedily, the
+    point with the most comparabilities to the points already placed
+    (ties by point index), so comparisons prune as early as possible.
+    Its later slots are not checked against the anchor: ``pools[i]`` is
+    the anchor's check kind for slot i + 1, which the caller answers once
+    per search by drawing that slot's candidates from the matching member
+    list, and ``need`` counts the slots of each kind, so a list that is
+    too short rules the anchor out before any search.
+    """
 
-    def __init__(self, p: PatternPoset):
+    __slots__ = ("size", "order", "slot_of_point", "checks", "pools", "need")
+
+    def __init__(self, p: PatternPoset, anchor: int | None = None):
         self.size = p.size
-        self.order = linear_extension(p)
+        self.order = linear_extension(p) if anchor is None else _anchored_order(p, anchor)
         self.slot_of_point = {pt: slot for slot, pt in enumerate(self.order)}
-        checks: list[tuple[tuple[int, int], ...]] = []
-        for slot, pt in enumerate(self.order):
-            row = []
-            for earlier in range(slot):
-                ept = self.order[earlier]
-                if p.leq[ept][pt]:
-                    row.append((earlier, _BELOW))
-                elif p.leq[pt][ept]:  # pragma: no cover - excluded by linear extension
-                    raise AssertionError("linear extension placed an upper point first")
-                else:
-                    row.append((earlier, _INCOMP))
-            checks.append(tuple(row))
-        self.checks = tuple(checks)
+        first = 0 if anchor is None else 1
+        self.checks = tuple(
+            tuple((earlier, _kind(p, self.order[earlier], pt)) for earlier in range(first, slot))
+            for slot, pt in enumerate(self.order)
+        )
+        self.pools = tuple(_kind(p, anchor, pt) for pt in self.order[1:]) if first else ()
+        self.need = tuple((kind, self.pools.count(kind)) for kind in set(self.pools))
+
+
+def _kind(p: PatternPoset, earlier: int, pt: int) -> int:
+    if p.leq[earlier][pt]:
+        return _BELOW
+    if p.leq[pt][earlier]:
+        return _ABOVE
+    return _INCOMP
+
+
+def _anchored_order(p: PatternPoset, anchor: int) -> tuple[int, ...]:
+    """The anchor, then repeatedly the point comparable to the most placed ones."""
+    order = [anchor]
+    rest = [pt for pt in range(p.size) if pt != anchor]
+    while rest:
+        pt = max(rest, key=lambda b: (sum(_kind(p, a, b) != _INCOMP for a in order), -b))
+        order.append(pt)
+        rest.remove(pt)
+    return tuple(order)
 
 
 @lru_cache(maxsize=None)
@@ -99,49 +132,44 @@ def _plan(p: PatternPoset) -> _Plan:
     return _Plan(p)
 
 
-def _search(members: tuple[int, ...], plan: _Plan, pinned: dict[int, int] | None = None):
+def _search(members: tuple[int, ...], plan: _Plan, candidates) -> tuple[int, ...] | None:
     """Backtracking core on a raw member tuple.
 
-    Returns the point-indexed mapping tuple, or None.  ``pinned`` maps a
-    slot (position in the search order) to a forced member index.
+    ``candidates[slot]`` lists the member indices the slot (position in
+    the search order) may take, in the order they are tried.  Returns
+    the point-indexed mapping tuple, or None.
     """
     k = plan.size
-    nm = len(members)
-    if nm < k:
+    if len(members) < k:
         return None
     image = [-1] * k
-    used = [False] * nm
+    used = [False] * len(members)
     checks = plan.checks
-    pinned = pinned or {}
 
     def rec(slot: int) -> bool:
         if slot == k:
             return True
-        forced = pinned.get(slot)
-        candidates = (forced,) if forced is not None else range(nm)
-        for ci in candidates:
+        for ci in candidates[slot]:
             if used[ci]:
                 continue
             m = members[ci]
-            ok = True
             for eslot, kind in checks[slot]:
                 other = members[image[eslot]]
+                inter = other & m
                 if kind == _BELOW:
-                    if other & m != other:
-                        ok = False
+                    if inter != other:
                         break
-                else:
-                    if other & m == other or m & other == m:
-                        ok = False
+                elif kind == _ABOVE:
+                    if inter != m:
                         break
-            if not ok:
-                continue
-            image[slot] = ci
-            used[ci] = True
-            if rec(slot + 1):
-                return True
-            used[ci] = False
-            image[slot] = -1
+                elif inter == other or inter == m:
+                    break
+            else:
+                image[slot] = ci
+                used[ci] = True
+                if rec(slot + 1):
+                    return True
+                used[ci] = False
         return False
 
     if not rec(0):
@@ -152,9 +180,45 @@ def _search(members: tuple[int, ...], plan: _Plan, pinned: dict[int, int] | None
     return tuple(mapping)
 
 
+def _pinned(nm: int, plan: _Plan, point: int, idx: int) -> list:
+    """Candidates that force ``point`` onto member ``idx``, all others free."""
+    candidates = [range(nm)] * plan.size
+    candidates[plan.slot_of_point[point]] = (idx,)
+    return candidates
+
+
+@lru_cache(maxsize=None)
+def _orbit_representatives(p: PatternPoset) -> tuple[int, ...]:
+    """Least point of each automorphism orbit of p.
+
+    Mapping each point a to the mask of its down-set {b <= a} is an
+    order embedding, so the embeddings of p into those k masks are
+    exactly its automorphisms; y shares x's orbit iff one sends x to y.
+    """
+    k = p.size
+    downsets = tuple(sum(1 << b for b in range(k) if p.leq[b][a]) for a in range(k))
+    plan = _plan(p)
+    reps: list[int] = []
+    seen: set[int] = set()
+    for x in range(k):
+        if x in seen:
+            continue
+        reps.append(x)
+        seen.update(
+            y for y in range(x, k) if _search(downsets, plan, _pinned(k, plan, x, y)) is not None
+        )
+    return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def _anchored_plans(p: PatternPoset) -> tuple[_Plan, ...]:
+    return tuple(_Plan(p, anchor=x) for x in _orbit_representatives(p))
+
+
 def find_induced(f: SetFamily, p: PatternPoset) -> Embedding | None:
     """First induced copy of p inside f, or None if f is p-free."""
-    res = _search(f.members, _plan(p))
+    plan = _plan(p)
+    res = _search(f.members, plan, [range(len(f.members))] * plan.size)
     return Embedding(f, p, res) if res is not None else None
 
 
@@ -169,8 +233,9 @@ def find_induced_using(f: SetFamily, s: int, p: PatternPoset) -> Embedding | Non
     extended = f.add(s)
     s_idx = extended.members.index(s)
     plan = _plan(p)
+    nm = len(extended.members)
     for point in range(p.size):
-        res = _search(extended.members, plan, {plan.slot_of_point[point]: s_idx})
+        res = _search(extended.members, plan, _pinned(nm, plan, point, s_idx))
         if res is not None:
             return Embedding(extended, p, res)
     return None
@@ -207,16 +272,25 @@ def find_diamond(f: SetFamily) -> Embedding | None:
 def creates_copy(members: tuple[int, ...], m: int, p: PatternPoset) -> bool:
     """True iff members + {m} has an induced copy of p through m.
 
-    Raw-tuple variant for enumeration inner loops; ``members`` must be
-    in canonical order and must not contain m.
+    Raw-tuple variant for enumeration inner loops; ``members`` must not
+    contain m and may come in any order.  The diamond goes to
+    creates_diamond.  Otherwise m is placed first, on one point per
+    automorphism orbit of p (a copy with m at y gives one with m at any
+    image of y), and every later point draws its candidates from the
+    members above, below or incomparable to m, split once per call.
     """
     if p is DIAMOND or p == DIAMOND:
         return creates_diamond(members, m)
-    pos = bisect_left(members, member_key(m), key=member_key)
-    extended = members[:pos] + (m,) + members[pos:]
-    plan = _plan(p)
-    for point in range(p.size):
-        if _search(extended, plan, {plan.slot_of_point[point]: pos}) is not None:
+    pools: tuple[list[int], ...] = ([], [], [])  # by the anchor's check kind
+    for i, x in enumerate(members):
+        inter = x & m
+        pools[_BELOW if inter == m else _ABOVE if inter == x else _INCOMP].append(i)
+    extended = members + (m,)
+    anchor = (len(members),)
+    for plan in _anchored_plans(p):
+        if any(len(pools[kind]) < need for kind, need in plan.need):
+            continue
+        if _search(extended, plan, (anchor, *(pools[kind] for kind in plan.pools))) is not None:
             return True
     return False
 

@@ -12,12 +12,14 @@ The full scan walks the missing subsets in numpy batches that start at
 stops early while a long scan pays numpy's per-call overhead rarely.
 For the diamond each batch is tested in one vector pass over the
 scanner's lookup tables; other patterns test the masks of a batch one
-at a time.  The scan stops at the first batch holding a failure, and the
-report names the canonical first failure, so verdict and evidence never
-depend on batch boundaries.  No per-mask Python object is kept unless a
+at a time with ``detect.creates_copy``, and only witnesses rebuild the
+extended family.  The scan stops at the first batch holding a failure,
+and the report names the canonical first failure, so verdict and
+evidence never depend on batch boundaries.  No per-mask Python object is kept unless a
 full certificate is requested.  Spot mode sorts its sample into the same
 canonical order and tests it as one batch of the same kind; above the
-table limit the diamond is tested pairwise, one mask at a time.
+table limit the diamond is tested pairwise (``detect.creates_diamond``),
+one mask at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .detect import (
     DIAMOND,
     Embedding,
-    creates_diamond,
+    creates_copy,
     find_diamond,
     find_induced,
     find_induced_using,
@@ -287,16 +289,6 @@ class _DiamondScanner:
         return Embedding(extended, DIAMOND, tuple(index[m] for m in quad))
 
 
-def _generic_through(f: SetFamily, p: PatternPoset):
-    def creates(s: int) -> bool:
-        return find_induced_using(f, s, p) is not None
-
-    def witness(s: int) -> Embedding | None:
-        return find_induced_using(f, s, p)
-
-    return creates, witness
-
-
 def is_saturated(
     f: SetFamily,
     p: PatternPoset,
@@ -322,12 +314,9 @@ def is_saturated(
     if inner is not None:
         return SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner)
 
-    if p != DIAMOND:
-        creates, witness = _generic_through(f, p)
-        first_failure = _scalar_failure(creates)
-    elif f.n > MAX_TABLE_N:
-        first_failure = _scalar_failure(partial(creates_diamond, f.members))
-        witness = partial(find_induced_using, f, p=DIAMOND)
+    if p != DIAMOND or f.n > MAX_TABLE_N:
+        first_failure = _scalar_failure(partial(creates_copy, f.members, p=p))
+        witness = partial(find_induced_using, f, p=p)
     else:
         scanner = _DiamondScanner(f)
         first_failure, witness = scanner.first_failure, scanner.witness
@@ -453,9 +442,7 @@ def greedy_saturate(
         return _greedy_diamond(f, masks)
     g = f
     for m in masks:
-        if m in g:
-            continue
-        if find_induced_using(g, m, p) is None:
+        if m not in g and not creates_copy(g.members, m, p):
             g = g.add(m)
     return g
 

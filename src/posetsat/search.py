@@ -14,14 +14,13 @@ generation step; only families without any of those run the full
 missing-subset scan.  The first layer containing a saturated family is
 the exact minimum, and every family of smaller size has been examined.
 
-All merging is by canonical order, never by scan schedule, so results
-and manifests are independent of the worker count.
+Families are expanded in canonical order and their children come out
+in that order too, so results and manifests are deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +73,8 @@ class SearchManifest:
     """Reproducibility record for one search run.
 
     The wall time field is informational; comparisons between runs are
-    expected to ignore it.  No scheduling data (such as worker count)
-    is recorded, so manifests from different thread counts are
-    byte-identical apart from wall time.
+    expected to ignore it, and everything else is byte-identical from
+    run to run.
     """
 
     command: str
@@ -129,6 +127,8 @@ class _LayerOutcome:
 
 
 def _process_families(fams, allowed, rank, all_masks, through):
+    """Extend each family by its later free members.  Children and
+    saturated families come out in canonical order when ``fams`` is."""
     children: list[tuple[int, ...]] = []
     saturated: list[tuple[int, ...]] = []
     extensions = 0
@@ -163,7 +163,6 @@ def _run_layers(
     allowed: list[int],
     size_cap: int,
     symmetry: bool,
-    threads: int,
 ) -> tuple[SearchManifest, list[tuple[int, ...]]]:
     start_time = time.monotonic()
     through = _through_tester(p)
@@ -185,30 +184,13 @@ def _run_layers(
         if not frontier:
             status = "infeasible"
             break
-        if threads <= 1 or len(frontier) < 2 * threads:
-            outcomes = [_process_families(frontier, allowed, rank, all_masks, through)]
-        else:
-            chunks = [frontier[i::threads] for i in range(threads)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(
-                    pool.map(
-                        lambda ch: _process_families(ch, allowed, rank, all_masks, through),
-                        chunks,
-                    )
-                )
-        children = [c for out in outcomes for c in out.children]
-        children.sort(key=lambda fam: tuple(member_key(m) for m in fam))
-        saturated = sorted(
-            (s for out in outcomes for s in out.saturated),
-            key=lambda fam: tuple(member_key(m) for m in fam),
-        )
-        extensions = sum(out.extensions for out in outcomes)
-        free_exts = sum(out.free_extensions for out in outcomes)
+        out = _process_families(frontier, allowed, rank, all_masks, through)
+        children, saturated = out.children, out.saturated
         manifest.layers.append(
-            LayerStats(size, len(frontier), extensions, free_exts, len(saturated))
+            LayerStats(size, len(frontier), out.extensions, out.free_extensions, len(saturated))
         )
         manifest.families_examined += len(frontier)
-        manifest.nodes_expanded += extensions
+        manifest.nodes_expanded += out.extensions
         if saturated:
             winners = saturated
             value = size
@@ -261,7 +243,6 @@ def sat_star_exact(
     p: PatternPoset,
     size_cap: int | None = None,
     symmetry: bool = True,
-    threads: int = 1,
 ) -> SearchManifest:
     """Exact minimum size of a p-saturated family over [n] (n <= 6).
 
@@ -274,7 +255,7 @@ def sat_star_exact(
         raise ValueError(f"exhaustive search needs 1 <= n <= {MAX_EXACT_N}, got {n}")
     cap = _default_cap(n, p, size_cap)
     allowed = sorted(range(1 << n), key=member_key)
-    manifest, winners = _run_layers("satstar", n, p, allowed, cap, symmetry, threads)
+    manifest, winners = _run_layers("satstar", n, p, allowed, cap, symmetry)
     if winners:
         validated = _revalidate(n, p, winners)
         manifest.result["witness"] = family_to_json(validated[0])
@@ -293,9 +274,7 @@ def _tag(fam: SetFamily) -> str:
     return TAG_OTHER
 
 
-def classify_minimum(
-    n: int, p: PatternPoset, threads: int = 1
-) -> tuple[list[tuple[SetFamily, str]], SearchManifest]:
+def classify_minimum(n: int, p: PatternPoset) -> tuple[list[tuple[SetFamily, str]], SearchManifest]:
     """All minimum p-saturated families up to ground-set relabeling,
     each tagged against the named constructions; an OTHER tag is a
     reportable finding, not an error."""
@@ -303,7 +282,7 @@ def classify_minimum(
         raise ValueError(f"classification needs 1 <= n <= {MAX_CLASSIFY_N}, got {n}")
     cap = _default_cap(n, p, None)
     allowed = sorted(range(1 << n), key=member_key)
-    manifest, winners = _run_layers("classify", n, p, allowed, cap, True, threads)
+    manifest, winners = _run_layers("classify", n, p, allowed, cap, True)
     manifest.mode = "classify"
     tagged = []
     if winners:
@@ -315,14 +294,14 @@ def classify_minimum(
     return tagged, manifest
 
 
-def sat_star_no_extremes(n: int, p: PatternPoset, threads: int = 1) -> SearchManifest:
+def sat_star_no_extremes(n: int, p: PatternPoset) -> SearchManifest:
     """Minimum size over saturated families avoiding both the empty and
     the full set; ``infeasible`` when no such family exists."""
     if not 1 <= n <= MAX_CLASSIFY_N:
         raise ValueError(f"restricted search needs 1 <= n <= {MAX_CLASSIFY_N}, got {n}")
     full = (1 << n) - 1
     allowed = [m for m in sorted(range(1 << n), key=member_key) if m not in (0, full)]
-    manifest, winners = _run_layers("noextremes", n, p, allowed, len(allowed), True, threads)
+    manifest, winners = _run_layers("noextremes", n, p, allowed, len(allowed), True)
     manifest.mode = "no-extremes"
     if winners:
         validated = _revalidate(n, p, winners)
@@ -334,7 +313,7 @@ def sat_star_no_extremes(n: int, p: PatternPoset, threads: int = 1) -> SearchMan
     return manifest
 
 
-def q3_probe(n: int, threads: int = 1) -> dict:
+def q3_probe(n: int) -> dict:
     """Build the 3n-2 construction, verify its Q3-saturation in full
     mode, and (at n = 4 only) compare against the exact search value.
 
@@ -354,7 +333,7 @@ def q3_probe(n: int, threads: int = 1) -> dict:
         "optimality": None,
     }
     if n == 4:
-        manifest = sat_star_exact(n, Q3, size_cap=expected, threads=threads)
+        manifest = sat_star_exact(n, Q3, size_cap=expected)
         value = manifest.result.get("value")
         out["optimality"] = {
             "sat_star": value,

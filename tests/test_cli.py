@@ -8,9 +8,14 @@ from posetsat import cli
 from posetsat.families import SetFamily, serialize_family
 from posetsat.saturate import chain_family
 
-SCHEMA = json.loads(
-    (Path(__file__).parents[1] / "docs" / "schemas" / "check_report.schema.json").read_text()
-)
+SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
+
+
+def schema(name):
+    return json.loads((SCHEMAS / f"{name}.schema.json").read_text())
+
+
+SCHEMA = schema("check_report")
 
 
 def write(tmp_path, name, f):
@@ -73,22 +78,18 @@ def test_check_full_mode_above_the_cap_is_a_usage_error(tmp_path, capsys):
     assert code == 64 and out == "" and "full mode" in err
 
 
-@pytest.mark.parametrize("command", ["check", "analyze", "catalog"])
+@pytest.mark.parametrize(
+    "command",
+    ["check", "analyze", "catalog", "satstar", "classify", "noextremes", "q3probe"],
+)
 def test_threads_option_is_gone(tmp_path, capsys, command):
-    if command == "catalog":
-        target = ["--n", "4"]
-    else:
+    if command in ("check", "analyze"):
         target = ["--family", write(tmp_path, "c", chain_family(4))]
-    pattern = [] if command == "analyze" else ["--pattern", "diamond"]
+    else:
+        target = ["--n", "4"]
+    pattern = [] if command in ("analyze", "q3probe") else ["--pattern", "diamond"]
     code, out, err = run(capsys, command, *target, *pattern, "--threads", "2")
     assert code == 64 and out == "" and "--threads" in err
-
-
-@pytest.mark.parametrize("command", ["satstar", "classify", "noextremes"])
-def test_search_commands_keep_threads(command):
-    argv = [command, "--n", "3", "--pattern", "diamond", "--threads", "2"]
-    args = cli.build_parser().parse_args(argv)
-    assert args.threads == 2
 
 
 def test_check_data_errors(tmp_path, capsys):
@@ -110,3 +111,30 @@ def test_check_text_output_labels_spot_mode(tmp_path, capsys):
     code, out, _ = run(capsys, *text, "--mode", "spot:5")
     assert code == 0
     assert out == "SATURATED (sampled 5 of 57 missing sets; pattern diamond, n=6, size=7)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["satstar", "--n", "4", "--pattern", "diamond"], 5),
+        (["classify", "--n", "3", "--pattern", "diamond"], 4),
+    ],
+)
+def test_search_manifests_validate(capsys, argv, value):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("search_manifest"))
+    assert "threads" not in doc["config"]
+    assert doc["result"]["status"] == "exact" and doc["result"]["value"] == value
+
+
+def test_q3probe_report_validates(capsys):
+    code, out, _ = run(capsys, "q3probe", "--n", "4")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("q3probe_report"))
+    jsonschema.validate(doc["optimality"]["manifest"], schema("search_manifest"))
+    assert "threads" not in doc["config"]
+    assert doc["verdict"] == "SATURATED" and doc["size"] == doc["expected_size"] == 10
+    assert doc["optimality"]["sat_star"] == 10 and doc["optimality"]["construction_optimal"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from posetsat.detect import (
     DIAMOND,
+    _orbit_representatives,
     creates_copy,
     creates_diamond,
     find_diamond,
@@ -14,11 +16,41 @@ from posetsat.detect import (
     validate_embedding,
 )
 from posetsat.families import SetFamily, mask_of
-from posetsat.posets import make_chain, make_diamond, make_v
+from posetsat.posets import (
+    PatternPoset,
+    make_antichain,
+    make_chain,
+    make_diamond,
+    make_hypercube,
+    make_lambda,
+    make_v,
+)
+from posetsat.saturate import Q3, q3_construction
 
 import oracles
 
 PATTERNS = oracles.all_pattern_classes(4)
+
+
+def relabeled(p, perm):
+    """p with point a renamed perm[a]."""
+    inv = {b: a for a, b in enumerate(perm)}
+    k = p.size
+    return PatternPoset(k, tuple(tuple(p.leq[inv[a]][inv[b]] for b in range(k)) for a in range(k)))
+
+
+# The diamond with its top as point 0: equal to DIAMOND only up to
+# relabeling, so creates_copy takes the generic path on it.
+RELABELED_DIAMOND = relabeled(DIAMOND, (3, 1, 2, 0))
+THROUGH_PATTERNS = (
+    make_v(),
+    make_chain(2),
+    Q3,
+    make_antichain(3),
+    make_lambda(),
+    make_hypercube(2),
+    RELABELED_DIAMOND,
+)
 
 
 @st.composite
@@ -139,13 +171,59 @@ def test_creates_diamond_matches_oracle(f):
         assert creates_copy(f.members, s, DIAMOND) == oracles.diamond_through(f, s)
 
 
-@given(families())
+@given(families(max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_creates_copy_matches_using_detector(f):
     missing = [m for m in range(1 << f.n) if m not in f]
     for s in missing[:3]:
-        for p in (make_v(), make_chain(2)):
+        for p in THROUGH_PATTERNS:
             assert creates_copy(f.members, s, p) == (find_induced_using(f, s, p) is not None)
+
+
+@given(families(), st.integers(0, len(PATTERNS) - 1), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_creates_copy_matches_filtered_oracle(f, pi, rnd):
+    p = PATTERNS[pi]
+    missing = [m for m in range(1 << f.n) if m not in f]
+    for s in rnd.sample(missing, min(3, len(missing))):
+        shuffled = tuple(rnd.sample(f.members, len(f.members)))
+        assert creates_copy(shuffled, s, p) == oracles.has_induced_using(f, s, p)
+
+
+def test_creates_copy_on_the_q3_construction():
+    f = q3_construction(4)
+    for s in range(1 << 4):
+        if s not in f:
+            assert creates_copy(f.members, s, Q3)
+    for x in f.members:
+        # f is Q3-free, so putting a member back creates nothing
+        assert not creates_copy(f.without(x).members, x, Q3)
+    cube = tuple(range(8))
+    for x in cube:
+        rest = tuple(m for m in cube if m != x)
+        # every point of the 3-cube lies on a Q3 and on a diamond
+        assert creates_copy(rest, x, Q3)
+        assert creates_copy(rest, x, RELABELED_DIAMOND)
+
+
+def brute_orbits(p):
+    k = p.size
+    autos = [
+        perm
+        for perm in itertools.permutations(range(k))
+        if all(p.leq[a][b] == p.leq[perm[a]][perm[b]] for a in range(k) for b in range(k))
+    ]
+    return {frozenset(perm[x] for perm in autos) for x in range(k)}
+
+
+@pytest.mark.parametrize("p", [*PATTERNS, Q3, RELABELED_DIAMOND])
+def test_orbit_representatives_hit_every_orbit_once(p):
+    reps = _orbit_representatives(p)
+    orbits = brute_orbits(p)
+    assert len(reps) == len(set(reps)) == len(orbits)
+    for orbit in orbits:
+        assert sum(x in orbit for x in reps) == 1
+    assert reps == tuple(sorted(min(orbit) for orbit in orbits))
 
 
 def test_detection_is_deterministic():
