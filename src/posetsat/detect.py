@@ -8,10 +8,12 @@ inclusion-incomparable sets.
 The generic detector backtracks over the pattern points in a fixed
 linear extension (minimal points first, ties by point index) and tries
 candidate members in canonical order, so the first witness found is the
-lexicographically least along that search order.  A specialized diamond
-detector scans incomparable pairs instead, which is much cheaper for
-the 4-point pattern; both return identical witnesses on the diamond
-because their traversal orders coincide.
+lexicographically least along that search order.  The diamond has a
+specialized numpy detector: for each bottom in canonical order, one
+containment-matrix product over the bottom's strict supersets finds
+their incomparable pairs with a common top, in blocks of bounded size.
+Both return identical witnesses on the diamond because they visit
+(bottom, middle, middle, top) in the same order.
 
 The through-test ``creates_copy`` (does adding a set s create a copy
 through s?) needs no witness, so it searches differently: s is placed
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .families import SetFamily, elements_of
 from .posets import PatternPoset, linear_extension, make_diamond
@@ -241,31 +245,91 @@ def find_induced_using(f: SetFamily, s: int, p: PatternPoset) -> Embedding | Non
     return None
 
 
+# Entries per block of the pairwise matrices in find_diamond; a block and
+# its temporaries stay near 16 MB whatever the family size.
+_BLOCK = 1 << 20
+# Multiply-adds the first row block may cost, so that a hit in the first
+# rows returns at once; later blocks double up to _BLOCK entries.
+_FIRST_WORK = 1 << 18
+
+
+def _row_blocks(n: int):
+    """(start, stop) row ranges covering range(n), doubling from a first
+    block of about _FIRST_WORK multiply-adds up to _BLOCK entries."""
+    start, step, cap = 0, max(1, _FIRST_WORK // (n * n)), max(1, _BLOCK // n)
+    while start < n:
+        step = min(step, cap)
+        yield start, start + step
+        start, step = start + step, 2 * step
+
+
+def _first_topped_pair(sups: np.ndarray) -> tuple[int, int] | None:
+    """Least (i, j) in row-major order such that sups[i] and sups[j] are
+    incomparable and some sups[k] contains both, or None.
+
+    Rows are taken in blocks; a row can be a middle only if it has a strict
+    superset ("live") and some incomparable partner, and only its strict
+    supersets can be tops, so the containment product runs over live rows
+    and their tops only.  The relation is symmetric, so the least row with
+    a hit has its hits to the right of the diagonal.
+    """
+    n = len(sups)
+    for r0, r1 in _row_blocks(n):
+        rows = sups[r0:r1, None]
+        inter = rows & sups
+        inside, differs = inter == rows, inter != sups
+        up = inside & differs  # rows[i] is a strict subset of sups[k]
+        live = np.flatnonzero(up.any(1))
+        incomparable = (differs & ~inside)[live]
+        if not incomparable.any():
+            continue
+        up = up[live]
+        tops = np.flatnonzero(up.any(0))
+        lhs = up[:, tops].astype(np.float32)
+        top_masks = sups[tops, None]
+        first = np.full(len(live), n)
+        col_step = max(1, _BLOCK // len(tops))
+        for c0 in range(r0 + int(live[0]) + 1, n, col_step):
+            cols = sups[c0:c0 + col_step]
+            # below[t, j]: cols[j] is a strict subset of tops[t]
+            below = ((cols & top_masks) == cols) & (cols != top_masks)
+            hit = (lhs @ below.astype(np.float32) > 0) & incomparable[:, c0:c0 + col_step]
+            first = np.minimum(first, np.where(hit.any(1), c0 + hit.argmax(1), n))
+            if first[0] < n:
+                break  # no earlier row is left to hit
+        got = np.flatnonzero(first < n)
+        if len(got):
+            return r0 + int(live[got[0]]), int(first[got[0]])
+    return None
+
+
 def find_diamond(f: SetFamily) -> Embedding | None:
     """Specialized detector for the diamond pattern.
 
-    Scans bottoms in canonical order, then incomparable pairs of strict
-    supersets, then the least common top, returning the
-    lexicographically least witness (equal to the generic detector's).
+    Walks the bottoms b in canonical order.  Every top of a pair of b's
+    strict supersets is itself one of them, so with L[i, k] meaning that
+    superset i lies inside superset k, the pairs with a common top are the
+    nonzero entries of the containment product L @ L.T; the least
+    incomparable such pair (c, d) in row-major order and then the least
+    member containing c | d give the lexicographically least witness,
+    equal to the generic detector's.  The first bottom with a pair
+    returns, and the product is taken in bounded blocks, so a diamond under
+    the first bottom is found at once whatever the family size.
     """
-    ms = f.members
-    nm = len(ms)
-    if nm < 4:
-        return None
-    for b in range(nm):
-        B = ms[b]
-        sup_idx = [i for i in range(nm) if i != b and ms[i] & B == B]
-        for pos, ci in enumerate(sup_idx):
-            C = ms[ci]
-            for di in sup_idx[pos + 1:]:
-                D = ms[di]
-                inter = C & D
-                if inter == C or inter == D:
-                    continue
-                union = C | D
-                for ei in range(nm):
-                    if ms[ei] & union == union:
-                        return Embedding(f, DIAMOND, (b, ci, di, ei))
+    arr = np.array(f.members, dtype=np.uint64)
+    for b in range(len(arr) - 3):
+        bottom = arr[b]
+        # a strict superset of a member comes later in canonical order
+        sup_idx = b + 1 + np.flatnonzero((arr[b + 1:] & bottom) == bottom)
+        if len(sup_idx) < 3:
+            continue
+        pair = _first_topped_pair(arr[sup_idx])
+        if pair is None:
+            continue
+        ci, di = (int(sup_idx[i]) for i in pair)
+        union = arr[ci] | arr[di]
+        ei = int(np.flatnonzero((arr & union) == union)[0])
+        return Embedding(f, DIAMOND, (b, ci, di, ei))
     return None
 
 

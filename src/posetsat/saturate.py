@@ -195,6 +195,54 @@ def _scalar_failure(creates):
     return first_failure
 
 
+# Pairs per block in pair_generators (each temporary stays near 8 MB).
+_PAIR_BLOCK = 1 << 20
+
+
+def pair_generators(
+    members: tuple[int, ...], suptab: np.ndarray, subtab: np.ndarray | None = None
+) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+    """Generators of the incomparable member pairs (i, j), i < j.
+
+    Returns (bottoms, tops): bottoms maps c & d to the lexicographically
+    least pair whose members c, d have a common top (``suptab[c | d]``),
+    tops maps c | d to the least pair with a common bottom
+    (``subtab[c & d]``; empty without subtab).  Both are in canonical key
+    order.  Pairs are taken in row blocks in lexicographic order, so the
+    first pair seen per key is the least.
+    """
+    bottoms: dict[int, tuple[int, int]] = {}
+    tops: dict[int, tuple[int, int]] = {}
+    arr = np.array(members, dtype=np.int64)
+    nm = len(arr)
+    step = max(1, _PAIR_BLOCK // max(nm, 1))
+    for r0 in range(0, nm, step):
+        rows = arr[r0:r0 + step, None]
+        inter = rows & arr
+        later = np.arange(nm) > np.arange(r0, r0 + len(rows))[:, None]
+        # a later member is never inside an earlier one (canonical order),
+        # so a later member not containing rows[i] is incomparable to it
+        i, j = np.nonzero(later & (inter != rows))
+        inter, union = inter[i, j], rows[i, 0] | arr[j]
+        i += r0
+        _keep_first(bottoms, inter, i, j, suptab[union])
+        if subtab is not None:
+            _keep_first(tops, union, i, j, subtab[inter])
+    return _canonical(bottoms), _canonical(tops)
+
+
+def _canonical(gens: dict) -> dict:
+    return dict(sorted(gens.items(), key=lambda kv: member_key(kv[0])))
+
+
+def _keep_first(gens: dict, keys: np.ndarray, i: np.ndarray, j: np.ndarray, keep: np.ndarray):
+    """Record the first kept pair per key not yet in gens."""
+    keys, i, j = keys[keep], i[keep], j[keep]
+    uniq, pos = np.unique(keys, return_index=True)
+    for key, p in zip(uniq.tolist(), pos.tolist()):
+        gens.setdefault(key, (int(i[p]), int(j[p])))
+
+
 class _DiamondScanner:
     """Per-family tables answering "does adding s create a diamond?" for
     a batch of masks in O(|f|) vector passes after O(|f|^2 + 2^n n)
@@ -213,22 +261,7 @@ class _DiamondScanner:
         self.members = ms
         self.subtab = subset_table(f.n, ms)
         self.suptab = superset_table(f.n, ms)
-        bottom_gens: dict[int, tuple[int, int]] = {}
-        top_gens: dict[int, tuple[int, int]] = {}
-        for i in range(len(ms)):
-            mi = ms[i]
-            for j in range(i + 1, len(ms)):
-                mj = ms[j]
-                inter = mi & mj
-                if inter == mi or inter == mj:
-                    continue
-                union = mi | mj
-                if self.suptab[union] and inter not in bottom_gens:
-                    bottom_gens[inter] = (i, j)
-                if self.subtab[inter] and union not in top_gens:
-                    top_gens[union] = (i, j)
-        self.bottom_gens = dict(sorted(bottom_gens.items(), key=lambda kv: member_key(kv[0])))
-        self.top_gens = dict(sorted(top_gens.items(), key=lambda kv: member_key(kv[0])))
+        self.bottom_gens, self.top_gens = pair_generators(ms, self.suptab, self.subtab)
         self.bottomable = superset_table(f.n, self.bottom_gens.keys())
         self.topable = subset_table(f.n, self.top_gens.keys())
 

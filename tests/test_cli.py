@@ -5,8 +5,9 @@ import jsonschema
 import pytest
 
 from posetsat import cli
+from posetsat.detect import DIAMOND
 from posetsat.families import SetFamily, serialize_family
-from posetsat.saturate import chain_family
+from posetsat.saturate import chain_family, greedy_saturate
 
 SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
 
@@ -138,3 +139,55 @@ def test_q3probe_report_validates(capsys):
     assert "threads" not in doc["config"]
     assert doc["verdict"] == "SATURATED" and doc["size"] == doc["expected_size"] == 10
     assert doc["optimality"]["sat_star"] == 10 and doc["optimality"]["construction_optimal"]
+
+
+def analyze_json(capsys, path):
+    code, out, _ = run(capsys, "analyze", "--family", path)
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("analyze_report"))
+    return code, doc
+
+
+@pytest.mark.parametrize(
+    "family, standing",
+    [
+        # greedy diamond saturation in a seeded order; avoids {} and [5]
+        (greedy_saturate(SetFamily(5, ()), DIAMOND, order="shuffle", seed=0), True),
+        (chain_family(5), False),
+    ],
+)
+def test_analyze_report_validates(tmp_path, capsys, family, standing):
+    code, doc = analyze_json(capsys, write(tmp_path, "f", family))
+    assert code == 0
+    assert doc["saturation"]["verdict"] == "SATURATED" and doc["vacuous"] is False
+    assert doc["standing_assumption"] is standing
+    lemmas = doc["lemmas"]
+    assert [c["id"] for c in lemmas] == [
+        "L2.1", "L2.2", "L2.3", "L2.4", "L2.5", "L2.6", "L2.7",
+        "L3.1", "L3.2", "P3.3", "C3.5", "C3.7", "P4.1", "P4.2", "P4.3",
+    ]
+    assert all(c["status"] in ("pass", "n/a") for c in lemmas)
+    if not standing:
+        assert {c["status"] for c in lemmas[1:]} == {"n/a"}
+
+
+def test_analyze_exit_codes_off_the_saturated_path(tmp_path, capsys):
+    code, doc = analyze_json(capsys, write(tmp_path, "gap", chain_family(5).without(0b11)))
+    assert code == 2
+    assert doc["vacuous"] is True and doc["lemmas"] == [] and doc["decomposition"] is None
+    code, doc = analyze_json(capsys, write(tmp_path, "cube", SetFamily(2, (0, 1, 2, 3))))
+    assert code == 3
+    assert doc["saturation"]["verdict"] == "NOT_FREE" and doc["vacuous"] is True
+    assert [e["set"] for e in doc["saturation"]["witness"]["map"]] == [[], [1], [2], [1, 2]]
+
+
+def test_catalog_report_validates(capsys):
+    code, out, _ = run(capsys, "catalog", "--n", "4", "--pattern", "diamond")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("catalog_report"))
+    assert [(e["name"], e["emitted"], e["size"], e["verdict"]) for e in doc["entries"]] == [
+        ("chain", True, 5, "SATURATED"),
+        ("empty+singletons", True, 5, "SATURATED"),
+        ("full+cosingletons", True, 5, "SATURATED"),
+    ]

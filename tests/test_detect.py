@@ -1,10 +1,13 @@
 import itertools
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetsat import detect
 from posetsat.detect import (
     DIAMOND,
     _orbit_representatives,
@@ -25,7 +28,7 @@ from posetsat.posets import (
     make_lambda,
     make_v,
 )
-from posetsat.saturate import Q3, q3_construction
+from posetsat.saturate import Q3, greedy_saturate, q3_construction
 
 import oracles
 
@@ -124,7 +127,18 @@ def test_detector_matches_brute_force_oracle(f, pi):
         assert validate_embedding(got) is None
 
 
-@given(families())
+@st.composite
+def greedy_families(draw, max_n=6):
+    """A greedy diamond-saturated family, and sometimes one missing set added."""
+    n = draw(st.integers(1, max_n))
+    f = greedy_saturate(SetFamily(n, ()), DIAMOND, order="shuffle", seed=draw(st.integers(0, 10**6)))
+    missing = [m for m in range(1 << n) if m not in f]
+    if missing and draw(st.booleans()):
+        f = f.add(draw(st.sampled_from(missing)))
+    return f
+
+
+@given(st.one_of(families(), families(max_n=7, max_size=40), greedy_families()))
 @settings(max_examples=300, deadline=None)
 def test_diamond_detector_agrees_with_generic(f):
     fast = find_diamond(f)
@@ -133,6 +147,49 @@ def test_diamond_detector_agrees_with_generic(f):
     if fast is not None:
         # traversal orders coincide for the diamond, so witnesses match
         assert fast.mapping == slow.mapping
+
+
+@given(st.one_of(families(max_n=7, max_size=40), greedy_families()))
+@settings(max_examples=150, deadline=None)
+def test_find_diamond_witness_does_not_depend_on_block_sizes(f):
+    # one-row blocks and four-entry column blocks put every block boundary
+    # of find_diamond inside these small families
+    with mock.patch.object(detect, "_BLOCK", 4), mock.patch.object(detect, "_FIRST_WORK", 1):
+        got = find_diamond(f)
+    expected = find_induced(f, DIAMOND)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.mapping == expected.mapping
+
+
+def test_find_diamond_uses_the_top_bit_of_a_64_bit_mask():
+    high = 1 << 63
+    free = SetFamily(64, (high, high | 1, high | 2, 1, 2, 3))
+    assert find_diamond(free) is None and find_induced(free, DIAMOND) is None
+    f = SetFamily(64, (1, high, high | 1, high | 2, high | 4, high | 3, 2 | 4))
+    emb = find_diamond(f)
+    assert emb is not None and emb.mapping == find_induced(f, DIAMOND).mapping
+    assert emb.image_masks() == (high, high | 1, high | 2, high | 3)
+    assert validate_embedding(emb) is None
+
+
+def test_find_diamond_on_the_full_16_cube_returns_at_once_in_bounded_memory():
+    cube = SetFamily(16, tuple(range(1 << 16)))
+    tracemalloc.start()
+    try:
+        emb = find_diamond(cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # {} < {1}, {2} < {1,2}: the 17th member is the first 2-set
+    assert emb.mapping == (0, 1, 2, 17)
+    assert peak < 64 << 20
+
+
+def test_find_diamond_on_the_two_middle_layers_over_13():
+    layers = tuple(m for m in range(1 << 13) if m.bit_count() in (6, 7))
+    assert len(layers) == 3432
+    assert find_diamond(SetFamily(13, layers)) is None
 
 
 @given(families())

@@ -1,11 +1,13 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetsat import saturate
 from posetsat.detect import creates_diamond, validate_embedding
-from posetsat.families import SetFamily, complement_family, member_key
+from posetsat.families import SetFamily, complement_family, member_key, subset_table, superset_table
 from posetsat.posets import make_chain, make_diamond, make_hypercube, make_v
 from posetsat.saturate import (
     Verdict,
@@ -15,6 +17,7 @@ from posetsat.saturate import (
     greedy_saturate,
     is_free,
     is_saturated,
+    pair_generators,
     q3_construction,
     upper_bound_catalog,
 )
@@ -175,6 +178,36 @@ def scan_families(draw):
 @settings(max_examples=150, deadline=None)
 def test_scan_matches_creates_diamond_walk(f):
     assert_matches_scan_reference(f, D, lambda s: creates_diamond(f.members, s))
+
+
+def pair_loop(ms, suptab, subtab):
+    """The pairwise loop that pair_generators vectorizes, as its reference."""
+    bottoms, tops = {}, {}
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            inter, union = ms[i] & ms[j], ms[i] | ms[j]
+            if inter in (ms[i], ms[j]):
+                continue
+            if suptab[union]:
+                bottoms.setdefault(inter, (i, j))
+            if subtab[inter]:
+                tops.setdefault(union, (i, j))
+    return bottoms, tops
+
+
+@given(scan_families())
+@settings(max_examples=150, deadline=None)
+def test_pair_generators_match_the_pair_loop(f):
+    ms = f.members
+    suptab, subtab = superset_table(f.n, ms), subset_table(f.n, ms)
+    expected = pair_loop(ms, suptab, subtab)
+    got = pair_generators(ms, suptab, subtab)
+    assert got == expected
+    assert [list(g) for g in got] == [sorted(g, key=member_key) for g in expected]
+    assert pair_generators(ms, suptab) == (expected[0], {})
+    # three pairs per block put block boundaries inside every row
+    with mock.patch.object(saturate, "_PAIR_BLOCK", 3):
+        assert pair_generators(ms, suptab, subtab) == expected
 
 
 @pytest.mark.parametrize("k", [None, 8, 10, 12])

@@ -252,6 +252,10 @@ def test_verify_middle_levels_family():
     assert by_id["L2.4"] == "n/a" and by_id["C3.7"] == "n/a"
     # size 6 > 3n/2 = 4.5 and > n = 3: hypotheses of the size-gated checks fail
     assert by_id["P4.1"] == "n/a" and by_id["P4.3"] == "n/a"
+    notes = {c.id: c.note for c in rep.checks}
+    # fixed notes ride on verdicts; an n/a check names the hypothesis that failed
+    assert notes["L2.5"].startswith("dual clause") and notes["L2.6"].startswith("the witness set")
+    assert notes["L2.2"] is None and notes["P4.1"] == "requires family size below 3n/2"
 
 
 def test_verify_vacuous_on_unsaturated():
