@@ -8,6 +8,10 @@ Above n = 8 an iterated degree-refinement signature serves as a
 heuristic key, and equality of heuristic keys is only trusted after an
 exact confirmation search, so equal confirmed keys always mean
 isomorphic.
+
+For n <= 6 a family is one word (see ``families``), and it is the least
+relabeling of its orbit exactly when its word is the largest of its n!
+images.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .families import SetFamily, member_key
+from .families import SetFamily, family_words, word_bits
 
 EXACT_MAX_N = 8
 
@@ -51,18 +55,13 @@ def _perm_table(n: int) -> np.ndarray:
     return images
 
 
-def _enc_width(n: int) -> int:
-    return n + max(1, (n + 1).bit_length())
-
-
 @lru_cache(maxsize=None)
-def _identity_enc(n: int) -> np.ndarray:
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint64)
-    card = np.zeros(size, dtype=np.uint64)
-    for i in range(n):
-        card += (masks >> np.uint64(i)) & np.uint64(1)
-    return masks | (card << np.uint64(n))
+def _image_words(n: int) -> np.ndarray:
+    """(2^n, n!) table: the word bit of mask m's image under each permutation.
+
+    A row per mask makes the image of a member one contiguous row copy.
+    """
+    return np.ascontiguousarray(word_bits(n)[_perm_table(n) & ((1 << n) - 1)].T)
 
 
 def canonical_key(f: SetFamily) -> tuple[int, ...]:
@@ -90,40 +89,27 @@ def is_canonical(f: SetFamily) -> bool:
     return tuple(f.members) == canonical_key(f)
 
 
-def batch_is_canonical(n: int, fams: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Vectorized canonicity test for same-size families.
+def batch_is_canonical(n: int, fams: np.ndarray, chunk: int = 64) -> np.ndarray:
+    """Vectorized canonicity test for same-size families (n <= 6).
 
     ``fams`` is a (T, s) int array of member masks, each row already in
     canonical member order.  Returns a boolean vector: row i is the
-    least relabeling of its own orbit.
+    least relabeling of its own orbit, i.e. its word is the largest of
+    its images.  An image word is the OR of one table row per member;
+    blocks of ``chunk`` rows keep the (chunk, n!) images in cache.
     """
     fams = np.asarray(fams, dtype=np.int64)
-    t, s = fams.shape
-    if t == 0:
-        return np.zeros(0, dtype=bool)
-    if s == 0:
-        return np.ones(t, dtype=bool)
-    table = _perm_table(n)
-    width = _enc_width(n)
-    packable = s * width <= 63
-    enc = _identity_enc(n)
-    out = np.zeros(t, dtype=bool)
-    if packable:
-        weights = (np.uint64(1) << (np.uint64(width) * np.arange(s - 1, -1, -1, dtype=np.uint64)))
-        own = (enc[fams] * weights).sum(axis=1)
-        for lo in range(0, t, chunk):
-            hi = min(lo + chunk, t)
-            block = fams[lo:hi]
-            rows = np.sort(table[:, block].astype(np.uint64), axis=2)
-            packed = (rows * weights).sum(axis=2)  # (P, B)
-            out[lo:hi] = packed.min(axis=0) == own[lo:hi]
-        return out
-    # fallback: per-family lexicographic comparison
-    for i in range(t):
-        rows = np.sort(table[:, fams[i]], axis=1)
-        order = np.lexsort(rows.T[::-1])
-        own_row = np.sort(enc[fams[i]])
-        out[i] = bool(np.array_equal(rows[order[0]].astype(np.uint64), own_row))
+    images = _image_words(n)
+    own = family_words(n, fams)
+    out = np.ones(len(fams), dtype=bool)
+    if fams.shape[1] == 0:
+        return out  # the empty family is its own only relabeling
+    for lo in range(0, len(fams), chunk):
+        block = fams[lo:lo + chunk]
+        img = images[block[:, 0]]
+        for j in range(1, block.shape[1]):
+            img |= images[block[:, j]]
+        out[lo:lo + chunk] = img.max(axis=1) == own[lo:lo + chunk]
     return out
 
 

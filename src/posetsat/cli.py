@@ -32,7 +32,7 @@ from .hasse import hasse_dot
 from .posets import PatternFormatError, PatternPoset, parse_pattern, pattern_from_spec
 from .saturate import InternalCheckError, Verdict, is_saturated, upper_bound_catalog
 from .search import classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
-from .structure import NotDiamondFreeError, verify_structure_invariants
+from .structure import verify_structure_invariants
 
 EXIT_OK = 0
 EXIT_FREE_NOT_SATURATED = 2
@@ -121,20 +121,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_analyze(args) -> int:
     fam = _load_family(args.family)
-    try:
-        report = verify_structure_invariants(fam)
-    except NotDiamondFreeError as exc:
-        _emit(
-            {
-                "tool": "posetsat",
-                "version": __version__,
-                "command": "analyze",
-                "config": _config_echo(args),
-                "verdict": "NOT_FREE",
-                "witness": exc.embedding.to_json(),
-            }
-        )
-        return EXIT_NOT_FREE
+    # a family with a diamond comes back as a vacuous report whose
+    # saturation verdict is NOT_FREE, with the witness under "saturation"
+    report = verify_structure_invariants(fam)
     payload = {
         "tool": "posetsat",
         "version": __version__,

@@ -22,6 +22,9 @@ every later point takes its candidates from the members above, below or
 incomparable to s, as in Ullmann's and VF2's candidate filtering.
 Witnesses through s come from ``find_induced_using``, which keeps the
 linear-extension order and so the lexicographically least witness.
+For the exact search at n <= 6, ``diamond_blocked`` answers the diamond
+through-test for every mask at once, as one family word of the masks
+that create a diamond, over a whole batch of families.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import SetFamily, elements_of
+from .families import SetFamily, elements_of, word_bits
 from .posets import PatternPoset, linear_extension, make_diamond
 
 DIAMOND = make_diamond()
@@ -388,3 +391,44 @@ def creates_diamond(members, m: int) -> bool:
             if any(b & cd == b for b in members):
                 return True
     return False
+
+
+@lru_cache(maxsize=None)
+def _cone_words(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """up[x], down[x]: words of the masks containing x and inside x."""
+    masks = np.arange(1 << n)
+    inside = (masks[:, None] & masks) == masks  # inside[x, m]: m is inside x
+    bits = word_bits(n)
+    down = np.bitwise_or.reduce(np.where(inside, bits, 0), axis=1)
+    up = np.bitwise_or.reduce(np.where(inside.T, bits, 0), axis=1)
+    return up, down
+
+
+def diamond_blocked(n: int, fams: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Word form of creates_diamond for a batch of families (n <= 6).
+
+    ``fams`` is a (T, s) array of member masks and ``words`` their
+    family words.  Returns per family the word of the masks whose
+    addition creates a diamond: a top above an incomparable member pair
+    (c, d) with a member inside c & d, a bottom below such a pair with a
+    member containing c | d, or a middle beside a member c, incomparable
+    to c, above a member inside c and below a member containing c.
+    """
+    up, down = _cone_words(n)
+    cols = list(fams.T)
+    blocked = np.zeros_like(words)
+    for i, c in enumerate(cols):
+        below = np.zeros_like(words)  # masks above a member inside c
+        above = np.zeros_like(words)  # masks below a member containing c
+        # members come in canonical order: those inside c come before it
+        for j, d in enumerate(cols):
+            meet = c & d
+            if j < i:
+                below |= np.where(meet == d, up[d], 0)
+            elif j > i:
+                above |= np.where(meet == c, down[d], 0)
+                pair, join = meet != c, c | d  # d is never inside c
+                blocked |= np.where(pair & (down[meet] & words != 0), up[join], 0)
+                blocked |= np.where(pair & (up[join] & words != 0), down[meet], 0)
+        blocked |= below & above & ~(up[c] | down[c])
+    return blocked

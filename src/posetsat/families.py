@@ -11,6 +11,12 @@ Text format: a header line ``n=<int>``, then one set per line as
 comma-separated elements of {1..n}, with ``-`` denoting the empty set
 and ``#`` starting a comment line.  A JSON mirror
 ``{"n": int, "sets": [[int, ...], ...]}`` is provided for tooling.
+
+For n <= 6 the 2^n masks fit in one 64-bit word, and a family is one
+word: the mask of canonical rank r sets bit 2^n - 1 - r.  Among
+families of one size, the lexicographically smaller member tuple has
+the larger word: it holds the lowest-ranked mask in which the two
+differ, and that mask is their highest differing bit.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,6 +32,8 @@ import numpy as np
 MAX_GROUND = 64
 # Full 2^n lookup tables stop being desk-scale beyond this.
 MAX_TABLE_N = 24
+# One bit per mask fits a 64-bit word up to here.
+WORD_MAX_N = 6
 
 
 class FamilyFormatError(ValueError):
@@ -39,6 +47,27 @@ class FamilyFormatError(ValueError):
 def member_key(mask: int) -> tuple[int, int]:
     """Canonical sort key for subsets: cardinality first, then mask value."""
     return (mask.bit_count(), mask)
+
+
+@lru_cache(maxsize=None)
+def canonical_order(n: int) -> np.ndarray:
+    """All masks of [n] in canonical order: entry r has rank r."""
+    return np.array(sorted(range(1 << n), key=member_key), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def word_bits(n: int) -> np.ndarray:
+    """(2^n,) uint64 table: the word bit of each mask (n <= 6)."""
+    if not 0 <= n <= WORD_MAX_N:
+        raise ValueError(f"family words need n <= {WORD_MAX_N}, got {n}")
+    bits = np.zeros(1 << n, dtype=np.uint64)
+    bits[canonical_order(n)] = np.uint64(1) << np.arange((1 << n) - 1, -1, -1, dtype=np.uint64)
+    return bits
+
+
+def family_words(n: int, fams: np.ndarray) -> np.ndarray:
+    """One word per row of a (T, s) array of member masks."""
+    return np.bitwise_or.reduce(word_bits(n)[fams], axis=1)
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -244,22 +273,38 @@ def family_from_json(obj: dict, strict: bool = False) -> SetFamily:
     return SetFamily(n, tuple(masks))
 
 
-def superset_table(n: int, masks: Iterable[int]) -> np.ndarray:
-    """Boolean array t of length 2^n with t[x] iff some given mask contains x.
+# Bytes of a little-endian word whose index bit k is clear, for k = 0, 1, 2.
+_LOW_BYTES = tuple(np.uint64(m) for m in (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))
 
-    Built by the usual subset-sum sweep, one OR pass per bit.
-    """
+
+def _sweep(t: np.ndarray, n: int, down: bool) -> np.ndarray:
+    """OR each entry of a 0/1 table into its subsets (``down``) or its
+    supersets, one pass per bit.  Bits 0-2 index bytes inside a 64-bit
+    word and are swept by shift-and-mask; higher bits by contiguous
+    word blocks.  Tables below one word take the byte sweep."""
+    dst, src = (0, 1) if down else (1, 0)
+    if n < 3:
+        for k in range(n):
+            t3 = t.reshape(-1, 2, 1 << k)
+            t3[:, dst] |= t3[:, src]
+        return t
+    w = t.view("<u8")
+    for k, low in enumerate(_LOW_BYTES):
+        shift = np.uint64(8 << k)
+        w |= (w >> shift) & low if down else (w << shift) & ~low
+    for k in range(3, n):
+        w3 = w.reshape(-1, 2, 1 << (k - 3))
+        w3[:, dst] |= w3[:, src]
+    return t
+
+
+def superset_table(n: int, masks: Iterable[int]) -> np.ndarray:
+    """Boolean array t of length 2^n with t[x] iff some given mask contains x."""
     if n > MAX_TABLE_N:
         raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
     t = np.zeros(1 << n, dtype=bool)
-    idx = list(masks)
-    if not idx:
-        return t
-    t[idx] = True
-    for k in range(n):
-        t3 = t.reshape(-1, 2, 1 << k)
-        t3[:, 0, :] |= t3[:, 1, :]
-    return t
+    t[list(masks)] = True
+    return _sweep(t, n, down=True)
 
 
 def subset_table(n: int, masks: Iterable[int]) -> np.ndarray:
@@ -267,11 +312,5 @@ def subset_table(n: int, masks: Iterable[int]) -> np.ndarray:
     if n > MAX_TABLE_N:
         raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
     t = np.zeros(1 << n, dtype=bool)
-    idx = list(masks)
-    if not idx:
-        return t
-    t[idx] = True
-    for k in range(n):
-        t3 = t.reshape(-1, 2, 1 << k)
-        t3[:, 1, :] |= t3[:, 0, :]
-    return t
+    t[list(masks)] = True
+    return _sweep(t, n, down=False)

@@ -1,18 +1,22 @@
-"""Exact minimum-saturation search by orderly generation.
+"""Exact minimum-saturation search by orderly generation (n <= 6).
 
 The engine enumerates pattern-free families layer by layer (size 1, 2,
-...).  Families are sorted member tuples; a family is extended only by
-members after its last one in canonical order, so each family is built
-exactly once, and with symmetry reduction only canonical orbit
-representatives are kept.  Deleting the last member of a canonical
-family leaves a canonical family, so extending canonical representatives
-reaches every canonical pattern-free family.
+...).  A family is a sorted member tuple and also one 64-bit word (see
+``families``: the mask of canonical rank r sets bit 2^n - 1 - r); a
+layer is a (T, s) array of member masks, processed in bounded chunks.
+A family is extended only by masks after its last member in canonical
+order, the lower bits of its word, so each family is built exactly
+once, and with symmetry reduction only canonical orbit representatives
+are kept.  Deleting the last member of a canonical family leaves a
+canonical family, so extending canonical representatives reaches every
+canonical pattern-free family.
 
-A family of size s is saturated exactly when it has no free one-set
-extension at all.  Extensions by later members fall out of the
-generation step; only families without any of those run the full
-missing-subset scan.  The first layer containing a saturated family is
-the exact minimum, and every family of smaller size has been examined.
+For the diamond, one vector step per chunk builds each family's
+``blocked`` word: the masks whose addition creates a diamond.  Other
+patterns ask ``creates_copy`` per mask.  A family is saturated exactly
+when no non-member is free.  The first layer containing a saturated
+family is the exact minimum, and every family of smaller size has been
+examined.
 
 Families are expanded in canonical order and their children come out
 in that order too, so results and manifests are deterministic.
@@ -21,14 +25,14 @@ in that order too, so results and manifests are deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._version import __version__
 from .canonical import batch_is_canonical, canonical_key
-from .detect import DIAMOND, creates_copy, creates_diamond
-from .families import SetFamily, family_to_json, member_key
+from .detect import DIAMOND, creates_copy, diamond_blocked
+from .families import SetFamily, canonical_order, family_to_json, family_words, member_key, word_bits
 from .posets import PatternPoset
 from .saturate import (
     Q3,
@@ -57,15 +61,10 @@ class LayerStats:
     extensions_tested: int
     free_extensions: int
     saturated_found: int
+    wall_time_s: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "families": self.families,
-            "extensions_tested": self.extensions_tested,
-            "free_extensions": self.free_extensions,
-            "saturated_found": self.saturated_found,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -112,48 +111,63 @@ def _pattern_id(p: PatternPoset) -> str:
     return p.name or f"poset:{p.size}"
 
 
-def _through_tester(p: PatternPoset):
-    if p == DIAMOND:
-        return creates_diamond
-    return lambda members, m: creates_copy(members, m, p)
+_CHUNK = 1 << 13  # families per vector step
 
 
-@dataclass
-class _LayerOutcome:
-    children: list[tuple[int, ...]]
-    saturated: list[tuple[int, ...]]
-    extensions: int
-    free_extensions: int
+def _copy_step(n: int, p: PatternPoset, fams, words, later) -> tuple[np.ndarray, np.ndarray]:
+    """Free later masks and saturation by ``creates_copy``.  Per family it
+    tests every later allowed mask, then, when none is free, the
+    non-members in canonical order up to the first free one."""
+    bits = word_bits(n).tolist()
+    order = canonical_order(n).tolist()
+    kids = np.zeros(len(fams), dtype=np.uint64)
+    saturated = np.zeros(len(fams), dtype=bool)
+    for i, (row, word, after) in enumerate(zip(fams.tolist(), words.tolist(), later.tolist())):
+        fam = tuple(row)
+        kids[i] = kid = sum(bits[m] for m in order if after & bits[m] and not creates_copy(fam, m, p))
+        saturated[i] = not kid and all(creates_copy(fam, m, p) for m in order if not word & bits[m])
+    return kids, saturated
 
 
-def _process_families(fams, allowed, rank, all_masks, through):
-    """Extend each family by its later free members.  Children and
-    saturated families come out in canonical order when ``fams`` is."""
-    children: list[tuple[int, ...]] = []
-    saturated: list[tuple[int, ...]] = []
-    extensions = 0
-    free_exts = 0
-    for fam in fams:
-        start = rank[fam[-1]] + 1 if fam else 0
-        fam_set = set(fam)
-        free_here = []
-        for m in allowed[start:]:
-            extensions += 1
-            if not through(fam, m):
-                free_here.append(m)
-        free_exts += len(free_here)
-        if free_here:
-            children.extend(fam + (m,) for m in free_here)
+def _extend(n: int, p: PatternPoset, frontier: np.ndarray, allowed_word) -> list[np.ndarray]:
+    """Per family: the word of allowed masks after its last member, the
+    word of those that are free, and whether no non-member is free."""
+    bits = word_bits(n)
+    full = np.uint64((1 << (1 << n)) - 1)
+    parts = []
+    for lo in range(0, len(frontier), _CHUNK):
+        fams = frontier[lo:lo + _CHUNK]
+        words = family_words(n, fams)
+        after = bits[fams[:, -1]] - np.uint64(1) if fams.shape[1] else np.full(len(fams), full)
+        later = after & allowed_word
+        if p == DIAMOND:
+            free = ~(words | diamond_blocked(n, fams, words)) & full
+            parts.append((later, free & later, free == 0))
         else:
-            # no later free extension; maximality needs the full scan
-            for m in all_masks:
-                if m in fam_set:
-                    continue
-                if not through(fam, m):
-                    break
-            else:
-                saturated.append(fam)
-    return _LayerOutcome(children, saturated, extensions, free_exts)
+            parts.append((later, *_copy_step(n, p, fams, words, later)))
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _next_layer(n: int, frontier: np.ndarray, kids: np.ndarray, symmetry: bool) -> np.ndarray:
+    """Children fam + (m,) per kid bit m, parent by parent in canonical
+    order; only canonical ones under symmetry reduction."""
+    shifts = np.arange((1 << n) - 1, -1, -1, dtype=np.uint64)  # column r: rank r
+    parts = []
+    for lo in range(0, len(frontier), _CHUNK):
+        parent, rank = np.nonzero((kids[lo:lo + _CHUNK, None] >> shifts) & np.uint64(1))
+        children = np.hstack([frontier[lo:lo + _CHUNK][parent], canonical_order(n)[rank, None]])
+        if symmetry and len(children):
+            children = children[batch_is_canonical(n, children)]
+        parts.append(children)
+    return np.concatenate(parts)
+
+
+_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Total number of set bits over an array of words."""
+    return int(_POP8[words.view(np.uint8)].sum())
 
 
 def _run_layers(
@@ -165,9 +179,7 @@ def _run_layers(
     symmetry: bool,
 ) -> tuple[SearchManifest, list[tuple[int, ...]]]:
     start_time = time.monotonic()
-    through = _through_tester(p)
-    rank = {m: i for i, m in enumerate(allowed)}
-    all_masks = sorted(range(1 << n), key=member_key)
+    allowed_word = np.bitwise_or.reduce(word_bits(n)[np.array(allowed, dtype=np.int64)])
     manifest = SearchManifest(
         command=command,
         n=n,
@@ -176,34 +188,29 @@ def _run_layers(
         symmetry=symmetry,
         size_cap=size_cap,
     )
-    frontier: list[tuple[int, ...]] = [()]
+    frontier = np.zeros((1, 0), dtype=np.int64)
     winners: list[tuple[int, ...]] = []
     status = "lower_bound"
     value: int | None = None
     for size in range(0, size_cap + 1):
-        if not frontier:
+        if not len(frontier):
             status = "infeasible"
             break
-        out = _process_families(frontier, allowed, rank, all_masks, through)
-        children, saturated = out.children, out.saturated
-        manifest.layers.append(
-            LayerStats(size, len(frontier), out.extensions, out.free_extensions, len(saturated))
-        )
-        manifest.families_examined += len(frontier)
-        manifest.nodes_expanded += out.extensions
-        if saturated:
-            winners = saturated
+        layer_start = time.monotonic()
+        later, kids, saturated = _extend(n, p, frontier, allowed_word)
+        stats = LayerStats(size, len(frontier), _popcount(later), _popcount(kids), int(saturated.sum()))
+        manifest.layers.append(stats)
+        manifest.families_examined += stats.families
+        manifest.nodes_expanded += stats.extensions_tested
+        if stats.saturated_found:
+            winners = [tuple(fam) for fam in frontier[saturated].tolist()]
             value = size
             status = "exact"
+        elif size < size_cap:
+            frontier = _next_layer(n, frontier, kids, symmetry)
+        stats.wall_time_s = round(time.monotonic() - layer_start, 6)
+        if winners or size == size_cap:
             break
-        if size == size_cap:
-            break
-        if symmetry and children:
-            fams = np.array(children, dtype=np.int64)
-            keep = batch_is_canonical(n, fams)
-            frontier = [fam for fam, ok in zip(children, keep) if ok]
-        else:
-            frontier = children
     if status == "lower_bound" and size_cap >= len(allowed):
         # every family over the allowed masks has been examined
         status = "infeasible"

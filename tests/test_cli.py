@@ -181,6 +181,15 @@ def test_analyze_exit_codes_off_the_saturated_path(tmp_path, capsys):
     assert [e["set"] for e in doc["saturation"]["witness"]["map"]] == [[], [1], [2], [1, 2]]
 
 
+def test_analyze_reports_a_diamond_under_saturation(tmp_path, capsys):
+    code, doc = analyze_json(capsys, write(tmp_path, "cube", SetFamily(2, (0, 1, 2, 3))))
+    assert code == 3
+    assert doc["lemmas"] == [] and doc["decomposition"] is None
+    assert "verdict" not in doc and "witness" not in doc
+    assert doc["saturation"]["verdict"] == "NOT_FREE"
+    assert doc["saturation"]["witness"]["pattern"] == "diamond"
+
+
 def test_catalog_report_validates(capsys):
     code, out, _ = run(capsys, "catalog", "--n", "4", "--pattern", "diamond")
     assert code == 0

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,32 @@ def test_tables_match_brute_force(f):
     for x in range(1 << f.n):
         assert sup[x] == any(m & x == x for m in f.members)
         assert sub[x] == any(m & x == m for m in f.members)
+
+
+def byte_sweep(n, masks, down):
+    """The plain one-byte-per-entry subset-sum sweep, one OR pass per bit."""
+    t = np.zeros(1 << n, dtype=bool)
+    t[list(masks)] = True
+    for k in range(n):
+        t3 = t.reshape(-1, 2, 1 << k)
+        if down:
+            t3[:, 0, :] |= t3[:, 1, :]
+        else:
+            t3[:, 1, :] |= t3[:, 0, :]
+    return t
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_word_sweep_tables_equal_the_byte_sweep(n):
+    rng = random.Random(n)
+    for count in (0, 1, 2, 5, 40):
+        masks = [rng.randrange(1 << n) for _ in range(count)]
+        sup = superset_table(n, masks)
+        sub = subset_table(n, masks)
+        assert sup.dtype == sub.dtype == np.dtype(bool)
+        assert np.array_equal(sup, byte_sweep(n, masks, down=True))
+        assert np.array_equal(sub, byte_sweep(n, masks, down=False))
+        assert sup.view(np.uint8).max(initial=0) <= 1 and sub.view(np.uint8).max(initial=0) <= 1
 
 
 def test_member_key_orders_by_cardinality_then_value():

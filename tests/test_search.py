@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posetsat.families import SetFamily
+from posetsat.detect import diamond_blocked
+from posetsat.families import SetFamily, canonical_order, family_words, word_bits
 from posetsat.posets import make_diamond
-from posetsat.search import classify_minimum, q3_probe, sat_star_exact
+from posetsat.saturate import greedy_saturate
+from posetsat.search import classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
 
 import oracles
 
@@ -24,6 +29,50 @@ Q3_CENSUS = [
     (618, 510, 442, 0),
     (402, 292, 207, 2),
 ]
+
+# Layer census of the diamond searches, (families, extensions_tested,
+# free_extensions, saturated_found) per size, as the per-mask search
+# reported them: satstar n = 6 capped at size 5, and classify n = 5.
+SATSTAR6_CAP5_CENSUS = [
+    (1, 64, 64, 0),
+    (7, 249, 249, 0),
+    (43, 954, 954, 0),
+    (302, 4798, 4682, 0),
+    (2246, 27715, 26010, 0),
+    (16909, 171953, 152826, 0),
+]
+CLASSIFY5_CENSUS = [
+    (1, 32, 32, 0),
+    (6, 106, 106, 0),
+    (28, 304, 304, 0),
+    (134, 1039, 992, 0),
+    (585, 3530, 3116, 0),
+    (2248, 11143, 8830, 0),
+    (7185, 30705, 21296, 3),
+]
+# noextremes for the diamond: (result, census) per n, as the per-mask
+# search reported them.
+NOEXTREMES = {
+    1: ({"status": "infeasible"}, [(1, 0, 0, 0)]),
+    2: ({"status": "infeasible"}, [(1, 2, 2, 0), (1, 1, 1, 0), (1, 0, 0, 0)]),
+    3: (
+        {"status": "exact", "value": 6, "witness_count": 1,
+         "witness": {"n": 3, "sets": [[1], [2], [3], [1, 2], [1, 3], [2, 3]]}},
+        [(1, 6, 6, 0), (2, 7, 7, 0), (4, 7, 7, 0), (6, 7, 7, 0), (4, 3, 3, 0), (2, 1, 1, 0),
+         (1, 0, 0, 1)],
+    ),
+    4: (
+        {"status": "exact", "value": 8, "witness_count": 2,
+         "witness": {"n": 4, "sets": [[1], [2], [1, 2], [1, 3], [2, 4], [3, 4], [1, 3, 4], [2, 3, 4]]}},
+        [(1, 14, 14, 0), (3, 25, 25, 0), (10, 49, 49, 0), (29, 101, 100, 0), (67, 164, 157, 0),
+         (112, 199, 182, 0), (144, 195, 165, 0), (130, 138, 102, 0), (77, 58, 34, 2)],
+    ),
+}
+CENSUS_KEYS = ("families", "extensions_tested", "free_extensions", "saturated_found")
+
+
+def census(doc):
+    return [tuple(layer[key] for key in CENSUS_KEYS) for layer in doc["layers"]]
 
 
 def family_of(n, doc):
@@ -70,7 +119,69 @@ def test_q3_probe_census():
     assert opt["sat_star"] == 10 and opt["construction_optimal"] is True
     layers = opt["manifest"]["layers"]
     assert [layer["size"] for layer in layers] == list(range(11))
-    keys = ("families", "extensions_tested", "free_extensions", "saturated_found")
-    got = [tuple(layer[key] for key in keys) for layer in layers]
-    assert got == Q3_CENSUS
+    assert census(opt["manifest"]) == Q3_CENSUS
     assert opt["manifest"]["result"]["witness_count"] == 2
+
+
+def test_satstar_census_at_n6():
+    doc = sat_star_exact(6, D, size_cap=5).to_json()
+    assert doc["result"] == {"status": "lower_bound", "value_at_least": 6}
+    assert [layer["size"] for layer in doc["layers"]] == list(range(6))
+    assert census(doc) == SATSTAR6_CAP5_CENSUS
+    assert doc["nodes_expanded"] == sum(layer[1] for layer in SATSTAR6_CAP5_CENSUS)
+    assert all(layer["wall_time_s"] >= 0 for layer in doc["layers"])
+
+
+def test_classify_census_at_n5():
+    tagged, manifest = classify_minimum(5, D)
+    doc = manifest.to_json()
+    assert census(doc) == CLASSIFY5_CENSUS
+    assert doc["result"]["value"] == 6 and doc["result"]["witness_count"] == 3
+    assert sorted(tag for _, tag in tagged) == ["chain", "empty+singletons", "full+cosingletons"]
+
+
+@pytest.mark.parametrize("n", sorted(NOEXTREMES))
+def test_noextremes_matches_the_per_mask_search(n):
+    result, layers = NOEXTREMES[n]
+    doc = sat_star_no_extremes(n, D).to_json()
+    assert doc["result"] == result
+    assert census(doc) == layers
+
+
+@st.composite
+def word_families(draw):
+    """Families over n <= 6: random, greedily diamond-saturated, or
+    random with a diamond put in."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("random", "greedy", "diamond")))
+    if kind == "greedy":
+        seed = draw(st.integers(0, 10**6))
+        return greedy_saturate(SetFamily(n, ()), D, order="shuffle", seed=seed)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8, unique=True))
+    if kind == "diamond" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        b = draw(st.integers(0, (1 << n) - 1)) & ~(1 << i | 1 << j)
+        masks += [b, b | 1 << i, b | 1 << j, b | 1 << i | 1 << j]
+    return SetFamily(n, tuple(masks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_families())
+def test_diamond_blocked_word_matches_the_oracle(f):
+    fams = np.array(f.members, dtype=np.int64).reshape(1, len(f))
+    blocked = int(diamond_blocked(f.n, fams, family_words(f.n, fams))[0])
+    bits = word_bits(f.n).tolist()
+    for m in range(1 << f.n):
+        if m not in f:
+            assert bool(blocked & bits[m]) == oracles.diamond_through(f, m), m
+
+
+def test_diamond_blocked_rows_are_independent():
+    rng = np.random.default_rng(3)
+    ranks = np.sort(rng.choice(64, size=(40, 5)), axis=1)
+    fams = canonical_order(6)[ranks[(np.diff(ranks, axis=1) > 0).all(axis=1)]]
+    words = family_words(6, fams)
+    batch = diamond_blocked(6, fams, words)
+    for row, word in zip(fams, batch):
+        one = row[None, :]
+        assert diamond_blocked(6, one, family_words(6, one))[0] == word
