@@ -70,7 +70,7 @@ from .structure import (
     verify_structure_invariants,
     w_of,
 )
-from .canonical import canonical_key, canonical_representative, heuristic_key, is_canonical, same_orbit
+from .canonical import canonical_key
 from .hasse import cover_edges, hasse_dot
 from .search import (
     SearchManifest,

@@ -52,7 +52,10 @@ def member_key(mask: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def canonical_order(n: int) -> np.ndarray:
     """All masks of [n] in canonical order: entry r has rank r."""
-    return np.array(sorted(range(1 << n), key=member_key), dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = sum(((masks >> i) & 1 for i in range(n)), np.zeros_like(masks))
+    # a stable sort keeps the masks of one size in increasing value
+    return np.argsort(sizes, kind="stable")
 
 
 @lru_cache(maxsize=None)

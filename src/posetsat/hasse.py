@@ -43,7 +43,7 @@ _CLASS_COLORS = {
 }
 
 
-def hasse_dot(f: SetFamily, classes: dict[str, set[int]] | None = None, title: str = "") -> str:
+def hasse_dot(f: SetFamily, classes: dict[str, set[int]] | None = None) -> str:
     """DOT digraph of the cover relation; edges point upward (rankdir=BT).
 
     ``classes`` may map class labels (A, X, GB, HY) to member-mask sets;
@@ -54,8 +54,6 @@ def hasse_dot(f: SetFamily, classes: dict[str, set[int]] | None = None, title: s
     lines = ["digraph hasse {"]
     lines.append("  rankdir=BT;")
     lines.append('  node [shape=box, style="rounded,filled", fillcolor=white];')
-    if title:
-        lines.append(f'  label="{title}";')
     for i, m in enumerate(f.members):
         tags = []
         color = "white"

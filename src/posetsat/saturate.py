@@ -24,6 +24,7 @@ one mask at a time.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,6 +45,7 @@ from .detect import (
 from .families import (
     MAX_TABLE_N,
     SetFamily,
+    canonical_order,
     elements_of,
     family_to_json,
     member_key,
@@ -119,19 +121,12 @@ class SaturationReport:
             problem = validate_embedding(self.embedding)
             if problem:
                 return f"stored embedding invalid: {problem}"
-        for m, emb in self.sample:
+        for m, emb in itertools.chain(self.sample, (self.certificate or {}).items()):
             problem = validate_embedding(emb)
             if problem:
                 return f"certificate embedding for {elements_of(m)} invalid: {problem}"
             if not emb.uses(m):
                 return f"certificate embedding for {elements_of(m)} does not use the added set"
-        if self.certificate is not None:
-            for m, emb in self.certificate.items():
-                problem = validate_embedding(emb)
-                if problem:
-                    return f"certificate embedding for {elements_of(m)} invalid: {problem}"
-                if not emb.uses(m):
-                    return f"certificate embedding for {elements_of(m)} does not use the added set"
         return None
 
 
@@ -372,9 +367,9 @@ def is_saturated(
                 missing=int(ordered[bad]), seed=seed,
             )
         sample = tuple((m, witness(m)) for m in ordered[:_SAMPLE_LIMIT].tolist())
-        return SaturationReport(
+        return _validated(SaturationReport(
             Verdict.SATURATED, f, p, mode, exhaustive, k, sample=sample, seed=seed
-        )
+        ))
 
     checked = 0
     head: list[int] = []
@@ -395,9 +390,13 @@ def is_saturated(
     cert = None
     if certificate:
         cert = {m: witness(m) for batch in _missing_batches(f) for m in batch.tolist()}
-    report = SaturationReport(
+    return _validated(SaturationReport(
         Verdict.SATURATED, f, p, mode, True, checked, certificate=cert, sample=sample
-    )
+    ))
+
+
+def _validated(report: SaturationReport) -> SaturationReport:
+    """The report itself, once its stored evidence re-validates."""
     problem = report.validate()
     if problem:
         raise InternalCheckError(problem)
@@ -462,7 +461,7 @@ def greedy_saturate(
         raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
-    masks = sorted(range(1 << f.n), key=member_key)
+    masks = canonical_order(f.n).tolist()
     if order == "canonical":
         pass
     elif order == "reverse":

@@ -32,7 +32,7 @@ import numpy as np
 from ._version import __version__
 from .canonical import batch_is_canonical, canonical_key
 from .detect import DIAMOND, creates_copy, diamond_blocked
-from .families import SetFamily, canonical_order, family_to_json, family_words, member_key, word_bits
+from .families import SetFamily, canonical_order, family_to_json, family_words, word_bits
 from .posets import PatternPoset
 from .saturate import (
     Q3,
@@ -261,7 +261,7 @@ def sat_star_exact(
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"exhaustive search needs 1 <= n <= {MAX_EXACT_N}, got {n}")
     cap = _default_cap(n, p, size_cap)
-    allowed = sorted(range(1 << n), key=member_key)
+    allowed = canonical_order(n).tolist()
     manifest, winners = _run_layers("satstar", n, p, allowed, cap, symmetry)
     if winners:
         validated = _revalidate(n, p, winners)
@@ -288,7 +288,7 @@ def classify_minimum(n: int, p: PatternPoset) -> tuple[list[tuple[SetFamily, str
     if not 1 <= n <= MAX_CLASSIFY_N:
         raise ValueError(f"classification needs 1 <= n <= {MAX_CLASSIFY_N}, got {n}")
     cap = _default_cap(n, p, None)
-    allowed = sorted(range(1 << n), key=member_key)
+    allowed = canonical_order(n).tolist()
     manifest, winners = _run_layers("classify", n, p, allowed, cap, True)
     manifest.mode = "classify"
     tagged = []
@@ -307,7 +307,7 @@ def sat_star_no_extremes(n: int, p: PatternPoset) -> SearchManifest:
     if not 1 <= n <= MAX_CLASSIFY_N:
         raise ValueError(f"restricted search needs 1 <= n <= {MAX_CLASSIFY_N}, got {n}")
     full = (1 << n) - 1
-    allowed = [m for m in sorted(range(1 << n), key=member_key) if m not in (0, full)]
+    allowed = canonical_order(n).tolist()[1:-1]
     manifest, winners = _run_layers("noextremes", n, p, allowed, len(allowed), True)
     manifest.mode = "no-extremes"
     if winners:

@@ -39,6 +39,7 @@ from .families import (
     complement_family,
     elements_of,
     family_to_json,
+    maximal_sets,
     member_key,
     minimal_sets,
     superset_table,
@@ -47,6 +48,8 @@ from .posets import make_chain
 from .saturate import SaturationReport, Verdict, is_saturated, pair_generators
 
 MAX_DECOMPOSE_N = 20
+# B0 and Y0 are listed in full in the JSON only up to this many members.
+B0_LIMIT = 4096
 
 CHAIN2 = make_chain(2)
 
@@ -84,7 +87,7 @@ class Decomposition:
     def n(self) -> int:
         return self.family.n
 
-    def to_json(self, b0_limit: int = 4096) -> dict:
+    def to_json(self) -> dict:
         def fam(f: SetFamily):
             return [list(elements_of(m)) for m in f.members]
 
@@ -105,9 +108,9 @@ class Decomposition:
             "Y0_size": len(self.Y0),
         }
         # B0/Y0 are downward/upward closures; emit them in full only at small scale
-        if len(self.B0) <= b0_limit:
+        if len(self.B0) <= B0_LIMIT:
             out["B0"] = fam(self.B0)
-        if len(self.Y0) <= b0_limit:
+        if len(self.Y0) <= B0_LIMIT:
             out["Y0"] = fam(self.Y0)
         return out
 
@@ -136,15 +139,9 @@ def _primal_parts(f: SetFamily) -> _PrimalParts:
 
     suptab = superset_table(n, ms)
     gens, _ = pair_generators(ms, suptab)
-    gen_masks = list(gens)
-    b1 = [
-        g
-        for g in gen_masks
-        if not any(h != g and g & h == g for h in gen_masks)
-    ]
-    bottom_table = superset_table(n, gen_masks)
+    bottom_table = superset_table(n, gens)
     B0 = SetFamily(n, tuple(int(x) for x in np.nonzero(bottom_table)[0]))
-    B1 = SetFamily(n, tuple(b1))
+    B1 = maximal_sets(SetFamily(n, gens))
     b_members = tuple(g for g in B1.members if not any(g & a == g for a in A.members))
     B = SetFamily(n, b_members)
 

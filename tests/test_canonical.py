@@ -62,6 +62,14 @@ def test_canonical_key_at_n1():
     assert canonical_key(SetFamily(1, (0, 1))) == (0, 1)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_canonical_key_matches_brute_force(n):
+    rng = random.Random(100 + n)
+    for size in (1, 2, 4, 6):
+        f = SetFamily(n, tuple(rng.sample(range(1 << n), min(size, 1 << n))))
+        assert canonical_key(f) == least_relabeling(f)
+
+
 def test_canonical_key_at_n8():
     rng = random.Random(8)
     for size in (1, 3, 5):

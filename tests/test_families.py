@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from posetsat.families import (
     FamilyFormatError,
     SetFamily,
+    canonical_order,
     complement_family,
     elements_of,
     family_from_json,
@@ -50,6 +51,13 @@ def test_masks_round_trip():
 def test_members_canonical_order():
     f = SetFamily(3, (0b110, 0b1, 0b111, 0b10, 0))
     assert f.members == (0, 0b1, 0b10, 0b110, 0b111)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_canonical_order_sorts_by_member_key(n):
+    order = canonical_order(n)
+    assert order.dtype == np.int64
+    assert order.tolist() == sorted(range(1 << n), key=member_key)
 
 
 def test_duplicates_collapse():

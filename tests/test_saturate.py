@@ -102,6 +102,15 @@ def test_spot_mode_above_the_table_limit():
     assert bad.missing not in lone and not oracles.diamond_through(lone, bad.missing)
 
 
+@pytest.mark.parametrize("mode", ["full", "spot"])
+def test_saturated_evidence_is_revalidated(monkeypatch, mode):
+    # every sample witness becomes the embedding through one fixed other set
+    real = saturate._DiamondScanner.witness
+    monkeypatch.setattr(saturate._DiamondScanner, "witness", lambda self, s: real(self, 0b10))
+    with pytest.raises(saturate.InternalCheckError, match="does not use the added set"):
+        is_saturated(chain_family(4), D, mode=mode, spot=8, seed=1)
+
+
 def test_full_mode_cap():
     with pytest.raises(ValueError):
         is_saturated(SetFamily(25), D, mode="full")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from posetsat.detect import DIAMOND, find_diamond
 from posetsat.families import SetFamily, complement_family, elements_of, maximal_sets, minimal_sets
+from posetsat import structure
 from posetsat.saturate import Verdict, chain_family, empty_plus_singletons, greedy_saturate
 from posetsat.structure import (
     NotDiamondFreeError,
@@ -256,6 +258,38 @@ def test_verify_middle_levels_family():
     # fixed notes ride on verdicts; an n/a check names the hypothesis that failed
     assert notes["L2.5"].startswith("dual clause") and notes["L2.6"].startswith("the witness set")
     assert notes["L2.2"] is None and notes["P4.1"] == "requires family size below 3n/2"
+
+
+def run_lemma(cid, dec):
+    """One registered suite entry on a decomposition, standing assumption held."""
+    (lemma,) = [entry for entry in structure._LEMMAS if entry.id == cid]
+    return lemma.run(dec.family, dec, None, True)
+
+
+# Saturated families never reach the size-gated verdicts below, so the
+# checks run directly on diamond-free families.
+@pytest.mark.parametrize(
+    "cid, sets, n, status, evidence",
+    [
+        ("P4.1", [(1,), (2,)], 3, "fail", {"common": [[1], [2]]}),
+        ("P4.1", [(1,), (1, 2)], 3, "pass", {"common": []}),
+        ("P4.1", [(), (1,), (1, 2)], 2, "n/a", None),
+        ("P4.3", [(1,), (2,)], 3, "pass", {"common": []}),
+        ("P4.3", [(), (1,), (1, 2)], 2, "n/a", None),
+    ],
+)
+def test_size_gated_lemmas_on_free_families(cid, sets, n, status, evidence):
+    check = run_lemma(cid, decompose(SetFamily.of(n, sets)))
+    assert (check.status, check.evidence) == (status, evidence)
+
+
+def test_p43_fail_branch():
+    # no diamond-free family with |F| <= n at n <= 4 has GB and HY
+    # overlapping, so the overlap is put into the decomposition by hand
+    dec = decompose(SetFamily.of(3, [(1,), (2,)]))
+    both = SetFamily.of(3, [(1,)])
+    check = run_lemma("P4.3", dataclasses.replace(dec, GB=both, HY=both))
+    assert (check.status, check.evidence) == ("fail", {"common": [[1]]})
 
 
 def test_verify_vacuous_on_unsaturated():
