@@ -25,6 +25,11 @@ linear-extension order and so the lexicographically least witness.
 For the exact search at n <= 6, ``diamond_blocked`` answers the diamond
 through-test for every mask at once, as one family word of the masks
 that create a diamond, over a whole batch of families.
+
+Witnesses are checked again by one implementation of the embedding
+conditions, ``first_invalid_row``: it takes rows of image masks, so a
+whole certificate is one vector pass, and ``validate_embedding`` hands
+it the one row of an :class:`Embedding`.
 """
 
 from __future__ import annotations
@@ -76,13 +81,47 @@ def validate_embedding(emb: Embedding) -> str | None:
         return "mapping length differs from pattern size"
     if any(not 0 <= i < len(f.members) for i in mp):
         return "mapping index out of range"
-    if len(set(mp)) != len(mp):
-        return "mapping is not injective"
-    for a in range(p.size):
-        for b in range(p.size):
-            ma, mb = f.members[mp[a]], f.members[mp[b]]
-            if p.leq[a][b] != (ma & mb == ma):
-                return f"relation mismatch at pattern pair ({a}, {b})"
+    # distinct indices of distinct members are distinct masks
+    bad = first_invalid_row(p, [emb.image_masks()], f.members)
+    return None if bad is None else bad[1]
+
+
+# Rows per pass of first_invalid_row; a pass holds a few (rows, k, k) arrays.
+_CHECK_ROWS = 1 << 16
+
+
+def first_invalid_row(
+    p: PatternPoset, images, members, added: np.ndarray | None = None
+) -> tuple[int, str] | None:
+    """First row of image masks that is no induced copy of p, with the reason.
+
+    ``images`` is an (r, p.size) array of masks, point by point.  Row i
+    must be distinct members of ``members`` (or ``added[i]``, when given)
+    whose inclusions are exactly p's order: ``p.leq[a][b]`` iff
+    ``x_a & x_b == x_a``.  This is the one implementation of that test;
+    validate_embedding applies it to one row.  Returns None when every
+    row passes.
+    """
+    k = p.size
+    images = np.array(images, dtype=np.uint64).reshape(-1, k)
+    family = np.array(members, dtype=np.uint64)
+    for r0 in range(0, len(images), _CHECK_ROWS):
+        x = np.ascontiguousarray(images[r0:r0 + _CHECK_ROWS].T)  # x[a]: point a's images
+        member = np.isin(x, family, kind="sort")
+        if added is not None:
+            member |= x == np.asarray(added, dtype=np.uint64)[r0:r0 + _CHECK_ROWS]
+        pairs = [(a, b) for a in range(k) for b in range(k)]
+        repeated = np.array([x[a] == x[b] for a, b in pairs if a < b]).reshape(-1, len(x[0]))
+        mismatch = np.array([((x[a] & x[b]) == x[a]) != p.leq[a][b] for a, b in pairs])
+        bad = np.flatnonzero(~member.all(0) | repeated.any(0) | mismatch.any(0))
+        if len(bad):
+            i = int(bad[0])
+            if not member[:, i].all():
+                return r0 + i, "mapping index out of range"
+            if repeated[:, i].any():
+                return r0 + i, "mapping is not injective"
+            a, b = pairs[int(mismatch[:, i].argmax())]
+            return r0 + i, f"relation mismatch at pattern pair ({a}, {b})"
     return None
 
 

@@ -12,23 +12,32 @@ The full scan walks the missing subsets in numpy batches that start at
 stops early while a long scan pays numpy's per-call overhead rarely.
 For the diamond each batch is tested in one vector pass over the
 scanner's lookup tables; other patterns test the masks of a batch one
-at a time with ``detect.creates_copy``, and only witnesses rebuild the
-extended family.  The scan stops at the first batch holding a failure,
-and the report names the canonical first failure, so verdict and
-evidence never depend on batch boundaries.  No per-mask Python object is kept unless a
-full certificate is requested.  Spot mode sorts its sample into the same
-canonical order and tests it as one batch of the same kind; above the
-table limit the diamond is tested pairwise (``detect.creates_diamond``),
-one mask at a time.
+at a time with ``detect.creates_copy``.  The scan stops at the first
+batch holding a failure, and the report names the canonical first
+failure, so verdict and evidence never depend on batch boundaries.
+Spot mode sorts its sample into the same canonical order and tests it
+as one batch of the same kind; above the table limit the diamond is
+tested pairwise (``detect.creates_diamond``), one mask at a time.
+
+Witnesses come in batches too, as rows of image masks: the diamond
+scanner finds every row of a batch in a few vector passes, and other
+patterns fill theirs from ``detect.find_induced_using``.  A full
+certificate keeps only those rows (:class:`Certificate`) and builds the
+:class:`Embedding` into f + {s} of an entry when it is read; the
+sample's few embeddings are built from rows the same way.  Before a
+report is returned, the sample is checked entry by entry with
+``detect.validate_embedding`` and the certificate rows in one vector
+pass of ``detect.first_invalid_row``, the test behind both, which
+reads only the family, the pattern and the rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 
 import numpy as np
@@ -40,6 +49,7 @@ from .detect import (
     find_diamond,
     find_induced,
     find_induced_using,
+    first_invalid_row,
     validate_embedding,
 )
 from .families import (
@@ -70,6 +80,65 @@ class InternalCheckError(RuntimeError):
     """A witness or certificate failed independent re-validation."""
 
 
+class Certificate(Mapping):
+    """Read-only map from added masks to the embeddings through them.
+
+    ``added`` holds the masks in canonical order and ``images`` one row
+    per mask: the (len(added), pattern.size) array of the masks the
+    pattern points map to in f + {s}.  Reading an entry builds its
+    :class:`Embedding` into ``family.add(s)``; nothing per entry is built
+    before that.
+    """
+
+    def __init__(self, family: SetFamily, pattern: PatternPoset, added: np.ndarray, images: np.ndarray):
+        self.family = family
+        self.pattern = pattern
+        self.added = added
+        self.images = images
+
+    @cached_property
+    def _row_of(self) -> dict[int, int]:
+        return {m: r for r, m in enumerate(self.added.tolist())}
+
+    def __len__(self) -> int:
+        return len(self.added)
+
+    def __iter__(self):
+        return iter(self.added.tolist())
+
+    def __contains__(self, s) -> bool:
+        return s in self._row_of
+
+    def __getitem__(self, s: int) -> Embedding:
+        return self.entry(self._row_of[s])[1]
+
+    def entry(self, row: int) -> tuple[int, Embedding]:
+        """(s, embedding) of one row."""
+        s = int(self.added[row])
+        extended = self.family.add(s)
+        index = {m: i for i, m in enumerate(extended.members)}
+        # a mask outside f + {s} gets an index past the end, which
+        # validate_embedding reports as out of range
+        past = len(index)
+        images = self.images[row].tolist()
+        return s, Embedding(extended, self.pattern, tuple(index.get(m, past) for m in images))
+
+    def first_fault(self) -> str | None:
+        """The first row, in canonical order, that is not an induced copy
+        through its added set, as validate_embedding and Embedding.uses
+        would word it for that entry; None when every row passes.  Uses
+        only the family, the pattern and the rows."""
+        bad = first_invalid_row(self.pattern, self.images, self.family.members, self.added)
+        uses = np.logical_or.reduce([column == self.added for column in self.images.T])
+        unused = np.flatnonzero(~uses)
+        if bad is not None and (not len(unused) or bad[0] <= unused[0]):
+            return f"certificate embedding for {elements_of(int(self.added[bad[0]]))} invalid: {bad[1]}"
+        if len(unused):
+            return (f"certificate embedding for {elements_of(int(self.added[unused[0]]))} "
+                    "does not use the added set")
+        return None
+
+
 @dataclass
 class SaturationReport:
     """Verdict plus machine-checkable evidence.
@@ -77,7 +146,10 @@ class SaturationReport:
     NOT_FREE carries an embedding inside the family itself;
     FREE_NOT_SATURATED carries one missing mask whose addition creates
     no copy; SATURATED carries a sample of (missing mask, embedding)
-    pairs and, when requested, the full certificate map.
+    pairs and, when requested, the full certificate: a
+    :class:`Certificate` holding every missing mask in canonical order
+    with one row of image masks each, whose embeddings are built when
+    read.
     """
 
     verdict: Verdict
@@ -88,7 +160,7 @@ class SaturationReport:
     checked: int
     embedding: Embedding | None = None
     missing: int | None = None
-    certificate: dict[int, Embedding] | None = None
+    certificate: Certificate | None = None
     sample: tuple[tuple[int, Embedding], ...] = ()
     seed: int | None = None
 
@@ -116,18 +188,19 @@ class SaturationReport:
         return out
 
     def validate(self) -> str | None:
-        """Re-check all stored evidence with the independent validator."""
+        """Re-check all stored evidence with the independent validator:
+        the embedding, then the sample, then the certificate rows."""
         if self.embedding is not None:
             problem = validate_embedding(self.embedding)
             if problem:
                 return f"stored embedding invalid: {problem}"
-        for m, emb in itertools.chain(self.sample, (self.certificate or {}).items()):
+        for m, emb in self.sample:
             problem = validate_embedding(emb)
             if problem:
                 return f"certificate embedding for {elements_of(m)} invalid: {problem}"
             if not emb.uses(m):
                 return f"certificate embedding for {elements_of(m)} does not use the added set"
-        return None
+        return None if self.certificate is None else self.certificate.first_fault()
 
 
 def is_free(f: SetFamily, p: PatternPoset) -> bool:
@@ -250,15 +323,19 @@ class _DiamondScanner:
     """
 
     def __init__(self, f: SetFamily):
-        self.f = f
-        self.n = f.n
         ms = f.members
         self.members = ms
         self.subtab = subset_table(f.n, ms)
         self.suptab = superset_table(f.n, ms)
-        self.bottom_gens, self.top_gens = pair_generators(ms, self.suptab, self.subtab)
-        self.bottomable = superset_table(f.n, self.bottom_gens.keys())
-        self.topable = subset_table(f.n, self.top_gens.keys())
+        self.member_array = np.array(ms, dtype=np.int64)
+        bottom_gens, top_gens = pair_generators(ms, self.suptab, self.subtab)
+        self.bottomable = superset_table(f.n, bottom_gens.keys())
+        self.topable = subset_table(f.n, top_gens.keys())
+        # generator keys in canonical order, and their member index pairs
+        self.bottom_keys = np.array(list(bottom_gens), dtype=np.int64)
+        self.bottom_pairs = np.array(list(bottom_gens.values()), dtype=np.int64).reshape(-1, 2)
+        self.top_keys = np.array(list(top_gens), dtype=np.int64)
+        self.top_pairs = np.array(list(top_gens.values()), dtype=np.int64).reshape(-1, 2)
 
     def first_failure(self, batch: np.ndarray) -> int | None:
         """Position of the first mask in batch whose addition creates no
@@ -275,46 +352,96 @@ class _DiamondScanner:
         rest = pos[open_]
         return int(rest[0]) if len(rest) else None
 
-    def _first_member(self, pred) -> int:
-        for idx, m in enumerate(self.members):
-            if pred(m):
-                return idx
-        raise AssertionError("table lookup promised a member")  # pragma: no cover
+    def witnesses(self, batch: np.ndarray) -> np.ndarray:
+        """(len(batch), 4) int64 array: per mask s, the (bottom, middle,
+        middle, top) masks of a diamond through s in f + {s}, or -1s.
 
-    def witness(self, s: int) -> Embedding | None:
-        """Embedding through s in f + {s}, or None; deterministic."""
-        ms = self.members
-        quad = None  # (bottom, mid1, mid2, top) as masks
-        if self.bottomable[s]:
-            for g, (i, j) in self.bottom_gens.items():
-                if s & g == s:
-                    u = ms[i] | ms[j]
-                    e = ms[self._first_member(lambda m: m & u == u)]
-                    quad = (s, ms[i], ms[j], e)
-                    break
-        elif self.topable[s]:
-            for g, (i, j) in self.top_gens.items():
-                if s & g == g:
-                    v = ms[i] & ms[j]
-                    b = ms[self._first_member(lambda m: m & v == m)]
-                    quad = (b, ms[i], ms[j], s)
-                    break
+        The role is the first of bottom, top, middle that s can play.  As
+        a bottom s takes the first bottom generator (canonical order)
+        containing it and the first member containing that pair's union;
+        as a top, the first top generator inside it and the first member
+        inside the pair's intersection; as a middle, the first member d
+        that passes first_failure's test, then the first members inside
+        d & s and containing d | s.  Each "first" is one _first search
+        over the rows of that role.
+        """
+        ms = self.member_array
+        out = np.full((len(batch), 4), -1, dtype=np.int64)
+        bottom = self.bottomable[batch]
+        top = self.topable[batch] & ~bottom
+        middle = ~(bottom | top)
+        s = batch[bottom]
+        if len(s):
+            i, j = self.bottom_pairs[_first(s, self.bottom_keys, lambda x, g: x & g == x)].T
+            union = ms[i] | ms[j]
+            e = _first(union, ms, lambda u, m: m & u == u)
+            out[bottom] = np.stack([s, ms[i], ms[j], ms[e]], axis=1)
+        s = batch[top]
+        if len(s):
+            i, j = self.top_pairs[_first(s, self.top_keys, lambda x, g: x & g == g)].T
+            inter = ms[i] & ms[j]
+            b = _first(inter, ms, lambda v, m: m & v == m)
+            out[top] = np.stack([ms[b], ms[i], ms[j], s], axis=1)
+        subtab, suptab = self.subtab, self.suptab
+
+        def passes(x, d):
+            xd = x & d
+            return (xd != d) & (xd != x) & subtab[xd] & suptab[x | d]
+
+        s = batch[middle]
+        d = _first(s, ms, passes)
+        found = d >= 0
+        s, d = s[found], ms[d[found]]
+        inter, union = s & d, s | d
+        b = _first(inter, ms, lambda v, m: m & v == m)
+        e = _first(union, ms, lambda u, m: m & u == u)
+        out[np.flatnonzero(middle)[found]] = np.stack([ms[b], s, d, ms[e]], axis=1)
+        return out
+
+
+# Entries per (candidates, rows) matrix in _first.
+_FIRST_RUN = 1 << 16
+
+
+def _first(xs: np.ndarray, cands: np.ndarray, pred) -> np.ndarray:
+    """Per x, the index of the first candidate c with pred(x, c), or -1.
+
+    pred gets the open rows and a column of candidates and returns their
+    (candidates, rows) matrix.  Candidates go in runs of about _FIRST_RUN
+    entries over the rows still open: one at a time, as one vector pass,
+    while many rows are open, and many at once when few are.  A row
+    leaves once a candidate holds for it.
+    """
+    out = np.full(len(xs), -1, dtype=np.int64)
+    rows, x, c0 = np.arange(len(xs)), xs, 0
+    while len(rows) and c0 < len(cands):
+        hit = pred(x, cands[c0:c0 + max(1, _FIRST_RUN // len(rows)), None])
+        width = len(hit)
+        if width == 1:
+            got, first = hit[0], c0
         else:
-            for d in ms:
-                ds = d & s
-                if ds == d or ds == s:
-                    continue
-                if self.subtab[ds] and self.suptab[d | s]:
-                    b = ms[self._first_member(lambda m: m & ds == m)]
-                    u = d | s
-                    e = ms[self._first_member(lambda m: m & u == u)]
-                    quad = (b, s, d, e)
-                    break
-        if quad is None:
-            return None
-        extended = self.f.add(s)
-        index = {m: i for i, m in enumerate(extended.members)}
-        return Embedding(extended, DIAMOND, tuple(index[m] for m in quad))
+            # the first hit per row is the largest of descending weights
+            # (argmax over axis 0 is slow); width means none
+            weights = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))[:, None]
+            first = width - (hit * weights).max(0).astype(np.int64)
+            got = first < width
+            first = c0 + first[got]
+        if got.any():
+            out[rows[got]] = first
+            rows, x = rows[~got], x[~got]
+        c0 += width
+    return out
+
+
+def _search_witnesses(f: SetFamily, p: PatternPoset, batch: np.ndarray) -> np.ndarray:
+    """(len(batch), p.size) image masks of find_induced_using's copy
+    through each mask, or -1s."""
+    out = np.full((len(batch), p.size), -1, dtype=np.int64)
+    for r, s in enumerate(batch.tolist()):
+        emb = find_induced_using(f, s, p)
+        if emb is not None:
+            out[r] = emb.image_masks()
+    return out
 
 
 def is_saturated(
@@ -344,10 +471,19 @@ def is_saturated(
 
     if p != DIAMOND or f.n > MAX_TABLE_N:
         first_failure = _scalar_failure(partial(creates_copy, f.members, p=p))
-        witness = partial(find_induced_using, f, p=p)
+        witnesses, shape = partial(_search_witnesses, f, p), p
     else:
         scanner = _DiamondScanner(f)
-        first_failure, witness = scanner.first_failure, scanner.witness
+        # like find_diamond's, the scanner's embeddings name DIAMOND as
+        # their pattern, whatever name p was given
+        first_failure, witnesses, shape = scanner.first_failure, scanner.witnesses, DIAMOND
+
+    def certify(added: np.ndarray) -> Certificate:
+        images = witnesses(added)
+        lost = np.flatnonzero((images < 0).any(1))
+        if len(lost):
+            raise InternalCheckError(f"no witness found through {elements_of(int(added[lost[0]]))}")
+        return Certificate(f, shape, added, images)
 
     if mode == "spot":
         rng = random.Random(seed)
@@ -366,13 +502,14 @@ def is_saturated(
                 Verdict.FREE_NOT_SATURATED, f, p, mode, exhaustive, k,
                 missing=int(ordered[bad]), seed=seed,
             )
-        sample = tuple((m, witness(m)) for m in ordered[:_SAMPLE_LIMIT].tolist())
+        head = certify(ordered[:_SAMPLE_LIMIT])
+        sample = tuple(head.entry(r) for r in range(len(head)))
         return _validated(SaturationReport(
             Verdict.SATURATED, f, p, mode, exhaustive, k, sample=sample, seed=seed
         ))
 
     checked = 0
-    head: list[int] = []
+    passed: list[np.ndarray] = []
     for batch in _missing_batches(f):
         bad = first_failure(batch)
         if bad is not None:
@@ -380,16 +517,16 @@ def is_saturated(
             return SaturationReport(
                 Verdict.FREE_NOT_SATURATED, f, p, mode, True, checked, missing=int(batch[bad])
             )
-        if not head:
-            head = batch[:_SAMPLE_LIMIT].tolist()
+        if certificate or not passed:
+            passed.append(batch)
         checked += len(batch)
 
     # Saturated: every missing mask passed, so the passing masks in scan
     # order are the missing masks in canonical order.
-    sample = tuple((m, witness(m)) for m in head)
-    cert = None
-    if certificate:
-        cert = {m: witness(m) for batch in _missing_batches(f) for m in batch.tolist()}
+    added = np.concatenate(passed) if passed else np.empty(0, dtype=np.int64)
+    cert = certify(added) if certificate else None
+    head = cert if cert is not None else certify(added[:_SAMPLE_LIMIT])
+    sample = tuple(head.entry(r) for r in range(min(_SAMPLE_LIMIT, len(head))))
     return _validated(SaturationReport(
         Verdict.SATURATED, f, p, mode, True, checked, certificate=cert, sample=sample
     ))
@@ -404,7 +541,11 @@ def _validated(report: SaturationReport) -> SaturationReport:
 
 
 def _greedy_diamond(start: SetFamily, order_masks: list[int]) -> SetFamily:
-    """Greedy diamond-free completion with vectorized creation tests."""
+    """Greedy diamond-free completion with vectorized creation tests.
+
+    The subset and superset tables are built once; an accepted set ORs
+    its up-cone and down-cone into them.
+    """
     n = start.n
     members: list[int] = list(start.members)
     member_set = set(members)
@@ -435,6 +576,7 @@ def _greedy_diamond(start: SetFamily, order_masks: list[int]) -> SetFamily:
                 return True
         return False
 
+    full = (1 << n) - 1
     for m in order_masks:
         if m in member_set:
             continue
@@ -442,9 +584,19 @@ def _greedy_diamond(start: SetFamily, order_masks: list[int]) -> SetFamily:
             members.append(m)
             member_set.add(m)
             arr = np.array(members, dtype=np.int64)
-            subtab = subset_table(n, members)
-            suptab = superset_table(n, members)
+            subtab[_cone(m, full ^ m)] = True  # the sets containing m
+            suptab[_cone(0, m)] = True  # the sets inside m
     return SetFamily(n, tuple(members))
+
+
+def _cone(base: int, free: int) -> np.ndarray:
+    """base | x for every x inside free, as an int64 array."""
+    out = np.array([base], dtype=np.int64)
+    while free:
+        low = free & -free
+        out = np.concatenate([out, out | low])
+        free ^= low
+    return out
 
 
 def greedy_saturate(

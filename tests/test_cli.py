@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from posetsat import cli
+from posetsat import cli, saturate, structure
 from posetsat.detect import DIAMOND
 from posetsat.families import SetFamily, serialize_family
 from posetsat.saturate import chain_family, greedy_saturate
@@ -62,6 +63,25 @@ def test_check_certificate_output_validates(tmp_path, capsys):
     assert code == 0
     assert doc["report"]["certificate_size"] == (1 << 4) - 5
     assert len(doc["report"]["sample"]) == 8
+
+
+def test_check_certificate_with_a_corrupted_row_exits_70(tmp_path, capsys, monkeypatch):
+    real = saturate._DiamondScanner.witnesses
+
+    def witnesses(self, batch):
+        images = real(self, batch)
+        images[9, 3] = images[9, 1]  # row 9 lies past the sample
+        return images
+
+    monkeypatch.setattr(saturate._DiamondScanner, "witnesses", witnesses)
+    path = write(tmp_path, "chain", chain_family(4))
+    code, out, err = run(capsys, "check", "--family", path, "--pattern", "diamond", "--certificate")
+    # chain 4's missing sets in canonical order: {2} {3} {4} {1,3} {2,3} {1,4} {2,4} {3,4} {1,2,4} {1,3,4}
+    assert code == 70 and out == ""
+    assert err == (
+        "posetsat: internal inconsistency: certificate embedding for (1, 3, 4) "
+        "invalid: mapping is not injective\n"
+    )
 
 
 def test_check_spot_mode_above_the_table_limit(tmp_path, capsys):
@@ -179,6 +199,19 @@ def test_analyze_exit_codes_off_the_saturated_path(tmp_path, capsys):
     assert code == 3
     assert doc["saturation"]["verdict"] == "NOT_FREE" and doc["vacuous"] is True
     assert [e["set"] for e in doc["saturation"]["witness"]["map"]] == [[], [1], [2], [1, 2]]
+
+
+def test_analyze_exits_70_when_an_invariant_fails(tmp_path, capsys, monkeypatch):
+    first = structure._LEMMAS[0]
+    broken = dataclasses.replace(first, check=lambda f, dec, nested: (False, {"forced": True}))
+    monkeypatch.setattr(structure, "_LEMMAS", [broken, *structure._LEMMAS[1:]])
+    code, out, err = run(capsys, "analyze", "--family", write(tmp_path, "chain", chain_family(5)))
+    assert code == 70
+    assert json.loads(out)["lemmas"][0]["status"] == "fail"
+    assert err == (
+        "invariant FAILURES on a saturated family (implementation defect):\n"
+        f'  {first.id}: {{"forced": true}}\n'
+    )
 
 
 def test_analyze_reports_a_diamond_under_saturation(tmp_path, capsys):

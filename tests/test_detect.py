@@ -291,3 +291,35 @@ def test_detection_is_deterministic():
             first = find_induced(f, p)
             second = find_induced(f, p)
             assert (first is None and second is None) or first.mapping == second.mapping
+
+
+def row_loop(p, images, members, added):
+    """The per-entry embedding check over masks, as the reference for
+    first_invalid_row: first bad row and its reason, or None."""
+    for r, row in enumerate(images):
+        if any(x not in members and x != added[r] for x in row):
+            return r, "mapping index out of range"
+        if len(set(row)) != len(row):
+            return r, "mapping is not injective"
+        for a in range(p.size):
+            for b in range(p.size):
+                if p.leq[a][b] != (row[a] & row[b] == row[a]):
+                    return r, f"relation mismatch at pattern pair ({a}, {b})"
+    return None
+
+
+@given(st.data(), st.sampled_from(PATTERNS), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_first_invalid_row_matches_the_row_loop(data, p, n):
+    masks = st.integers(0, (1 << n) - 1)
+    members = data.draw(st.lists(masks, unique=True))
+    rows = data.draw(st.lists(st.lists(masks, min_size=p.size, max_size=p.size), max_size=6))
+    added = data.draw(st.lists(masks, min_size=len(rows), max_size=len(rows)))
+    expected = [row_loop(p, [row], members, [s]) for row, s in zip(rows, added)]
+    for row, s, want in zip(rows, added, expected):
+        assert detect.first_invalid_row(p, [row], members, [s]) == want
+    first = next(((r, want[1]) for r, want in enumerate(expected) if want), None)
+    assert detect.first_invalid_row(p, rows, members, added) == first
+    # two rows per pass put pass boundaries between the rows
+    with mock.patch.object(detect, "_CHECK_ROWS", 2):
+        assert detect.first_invalid_row(p, rows, members, added) == first

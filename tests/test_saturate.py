@@ -1,13 +1,25 @@
+import hashlib
 import itertools
+import random
+from collections.abc import Mapping
 from unittest import mock
 
+import numpy as np
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetsat import saturate
 from posetsat.detect import creates_diamond, validate_embedding
-from posetsat.families import SetFamily, complement_family, member_key, subset_table, superset_table
+from posetsat.families import (
+    SetFamily,
+    complement_family,
+    elements_of,
+    member_key,
+    subset_table,
+    superset_table,
+)
 from posetsat.posets import make_chain, make_diamond, make_hypercube, make_v
 from posetsat.saturate import (
     Verdict,
@@ -102,13 +114,109 @@ def test_spot_mode_above_the_table_limit():
     assert bad.missing not in lone and not oracles.diamond_through(lone, bad.missing)
 
 
-@pytest.mark.parametrize("mode", ["full", "spot"])
-def test_saturated_evidence_is_revalidated(monkeypatch, mode):
-    # every sample witness becomes the embedding through one fixed other set
-    real = saturate._DiamondScanner.witness
-    monkeypatch.setattr(saturate._DiamondScanner, "witness", lambda self, s: real(self, 0b10))
-    with pytest.raises(saturate.InternalCheckError, match="does not use the added set"):
-        is_saturated(chain_family(4), D, mode=mode, spot=8, seed=1)
+@pytest.mark.parametrize("mode, certificate", [("full", False), ("spot", False), ("full", True)])
+def test_saturated_evidence_is_revalidated(monkeypatch, mode, certificate):
+    # every witness row becomes the row through one fixed set, 0b10, which
+    # is no member of f + {s} for any other added set s
+    real = saturate._DiamondScanner.witnesses
+    monkeypatch.setattr(
+        saturate._DiamondScanner, "witnesses", lambda self, batch: real(self, np.full_like(batch, 0b10))
+    )
+    with pytest.raises(saturate.InternalCheckError, match="invalid: mapping index out of range"):
+        is_saturated(chain_family(4), D, mode=mode, spot=8, seed=1, certificate=certificate)
+
+
+def corrupt_row(monkeypatch, row: int, corrupt):
+    """Let corrupt(images) change the witness row ``row`` of every batch
+    that has one; returns the added set of that row."""
+    real = saturate._DiamondScanner.witnesses
+    seen = []
+
+    def witnesses(self, batch):
+        images = real(self, batch)
+        if len(batch) > row:
+            corrupt(images[row])
+            seen.append(int(batch[row]))
+        return images
+
+    monkeypatch.setattr(saturate._DiamondScanner, "witnesses", witnesses)
+    return seen
+
+
+def set_top(x):
+    x[3] = 0b1000  # a set missing from chain 5
+
+
+def repeat_middle(x):
+    x[2] = x[1]
+
+
+def swap_bottom_and_top(x):
+    x[[0, 3]] = x[[3, 0]]
+
+
+ROW_FAULTS = [
+    (set_top, "invalid: mapping index out of range"),
+    (repeat_middle, "invalid: mapping is not injective"),
+    (swap_bottom_and_top, "invalid: relation mismatch at pattern pair (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("corrupt, problem", ROW_FAULTS, ids=["non-member", "repeated", "relation"])
+def test_certificate_row_faults(monkeypatch, corrupt, problem):
+    # chain 5 has 26 missing sets; row 10 lies past the 8-row sample, so
+    # only the certificate's row check sees it
+    seen = corrupt_row(monkeypatch, 10, corrupt)
+    with pytest.raises(saturate.InternalCheckError) as err:
+        is_saturated(chain_family(5), D, certificate=True)
+    (s,) = seen
+    assert str(err.value) == f"certificate embedding for {elements_of(s)} {problem}"
+
+
+@pytest.mark.parametrize("corrupt, problem", ROW_FAULTS, ids=["non-member", "repeated", "relation"])
+def test_row_check_words_faults_as_the_entry_check(corrupt, problem):
+    cert = is_saturated(chain_family(5), D, certificate=True).certificate
+    corrupt(cert.images[12])
+    s = int(cert.added[12])
+    assert cert.first_fault() == f"certificate embedding for {elements_of(s)} {problem}"
+    assert f"invalid: {validate_embedding(cert[s])}" == problem
+
+
+def test_certificate_row_without_the_added_set():
+    # a diamond of f that avoids s passes every other row check, and only
+    # a family with a diamond has one
+    f = SetFamily(3, (0, 1, 2, 3))
+    cert = saturate.Certificate(f, D, np.array([4]), np.array([[0, 1, 2, 3]]))
+    report = saturate.SaturationReport(Verdict.SATURATED, f, D, "full", True, 1, certificate=cert)
+    with pytest.raises(saturate.InternalCheckError) as err:
+        saturate._validated(report)
+    assert str(err.value) == "certificate embedding for (3,) does not use the added set"
+    assert validate_embedding(cert[4]) is None and not cert[4].uses(4)
+
+
+def test_first_bad_certificate_row_is_named(monkeypatch):
+    corrupt_row(monkeypatch, 30, repeat_middle)
+    seen = corrupt_row(monkeypatch, 20, swap_bottom_and_top)
+    with pytest.raises(saturate.InternalCheckError) as err:
+        is_saturated(chain_family(6), D, certificate=True)
+    (s,) = seen
+    assert str(err.value) == (
+        f"certificate embedding for {elements_of(s)} invalid: relation mismatch at pattern pair (0, 1)"
+    )
+
+
+def test_certificate_is_a_read_only_map_of_embeddings():
+    f = chain_family(5)
+    cert = is_saturated(f, D, certificate=True).certificate
+    assert isinstance(cert, Mapping) and not hasattr(cert, "__setitem__")
+    missing = sorted((m for m in range(32) if m not in f), key=member_key)
+    assert list(cert) == list(cert.keys()) == missing and len(cert) == len(missing)
+    for m, emb in cert.items():
+        assert m in cert and emb == cert[m] and emb.family == f.add(m)
+        assert validate_embedding(emb) is None and emb.uses(m)
+    assert 0 not in cert
+    with pytest.raises(KeyError):
+        cert[0]
 
 
 def test_full_mode_cap():
@@ -202,6 +310,77 @@ def pair_loop(ms, suptab, subtab):
             if subtab[inter]:
                 tops.setdefault(union, (i, j))
     return bottoms, tops
+
+
+def witness_loop(f, s):
+    """The per-mask witness search that _DiamondScanner.witnesses batches,
+    as its reference: (bottom, middle, middle, top) masks through s in
+    f + {s}, or None."""
+    ms = f.members
+    subtab, suptab = subset_table(f.n, ms), superset_table(f.n, ms)
+    bottoms, tops = (sorted(g.items(), key=lambda kv: member_key(kv[0])) for g in pair_loop(ms, suptab, subtab))
+
+    def first(pred):
+        return next(m for m in ms if pred(m))
+
+    for g, (i, j) in bottoms:
+        if s & g == s:
+            u = ms[i] | ms[j]
+            return (s, ms[i], ms[j], first(lambda m: m & u == u))
+    for g, (i, j) in tops:
+        if s & g == g:
+            v = ms[i] & ms[j]
+            return (first(lambda m: m & v == m), ms[i], ms[j], s)
+    for d in ms:
+        ds, u = d & s, d | s
+        if ds != d and ds != s and subtab[ds] and suptab[u]:
+            return (first(lambda m: m & ds == m), s, d, first(lambda m: m & u == u))
+    return None
+
+
+@st.composite
+def witness_families(draw):
+    """Diamond-free families over n <= 8: random ones, greedy saturated
+    ones with and without one set more or less, and the named ones."""
+    n = draw(st.sampled_from(range(1, 9)))
+    kind = draw(st.sampled_from(
+        ["random", "greedy", "greedy-minus-one", "greedy-plus-one", "chain", "singletons", "cosingletons"]
+    ))
+    if kind == "random":
+        size = draw(st.integers(0, min(12, 1 << n)))
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True))
+        f = SetFamily(n, tuple(masks))
+    elif kind.startswith("greedy"):
+        order = draw(st.sampled_from(["canonical", "reverse", "shuffle"]))
+        f = greedy_saturate(SetFamily(n), D, order=order, seed=draw(st.integers(0, 999)))
+        if kind == "greedy-minus-one":
+            f = f.without(draw(st.sampled_from(f.members)))
+        elif kind == "greedy-plus-one" and len(f) < 1 << n:
+            f = f.add(draw(st.sampled_from([m for m in range(1 << n) if m not in f])))
+    else:
+        f = {"chain": chain_family, "singletons": empty_plus_singletons,
+             "cosingletons": full_plus_cosingletons}[kind](n)
+    assume(is_free(f, D))
+    return f
+
+
+@given(witness_families(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_witnesses_match_the_witness_loop(f, data):
+    missing = np.array(sorted((m for m in range(1 << f.n) if m not in f), key=member_key), dtype=np.int64)
+    expected = [witness_loop(f, s) for s in missing.tolist()]
+    scanner = saturate._DiamondScanner(f)
+
+    def rows(images):
+        return [None if min(row) < 0 else tuple(row) for row in images.tolist()]
+
+    assert rows(scanner.witnesses(missing)) == expected
+    # runs of three entries split every search into many runs, and the
+    # rows of a batch do not depend on the rest of the batch
+    with mock.patch.object(saturate, "_FIRST_RUN", 3):
+        assert rows(scanner.witnesses(missing)) == expected
+    cut = data.draw(st.integers(0, len(missing)))
+    assert rows(scanner.witnesses(missing[:cut])) + rows(scanner.witnesses(missing[cut:])) == expected
 
 
 @given(scan_families())
@@ -303,6 +482,38 @@ def test_greedy_orders_and_determinism():
 def test_greedy_outputs_are_saturated(n, seed):
     g = greedy_saturate(SetFamily(n), D, order="shuffle", seed=seed)
     assert is_saturated(g, D, mode="full").verdict is Verdict.SATURATED
+
+
+# sha256 prefixes of the greedy diamond completions of the empty family
+# over [n] in the canonical, reverse and shuffle (seeds 0..9) orders, as
+# the completion that rebuilt both lookup tables per accepted set gave them
+GREEDY_DIGESTS = {
+    1: "7de993456cfd2059", 2: "353911d5be8e330f", 3: "74be964953e17322", 4: "95d35bf7d6ec8f3b",
+    5: "32ce4e27f293dac9", 6: "f347a81dd256637b", 7: "e5b241586f852d03", 8: "0beb990db7479de9",
+    9: "56ef1758bf385047", 10: "94f8457d3b5aa62f", 11: "62e92f37ab043c76", 12: "5d23f80dd1e5efc3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GREEDY_DIGESTS))
+def test_greedy_diamond_completions_are_pinned(n):
+    digest = hashlib.sha256()
+    for order, seed in [("canonical", 0), ("reverse", 0)] + [("shuffle", seed) for seed in range(10)]:
+        g = greedy_saturate(SetFamily(n), D, order=order, seed=seed)
+        digest.update(repr((order, seed, g.members)).encode())
+    assert digest.hexdigest()[:16] == GREEDY_DIGESTS[n]
+
+
+@given(st.integers(1, 6), st.integers(0, 999))
+@settings(max_examples=30, deadline=None)
+def test_greedy_diamond_matches_the_pairwise_test(n, seed):
+    # the generic greedy pass over creates_diamond, as the reference
+    masks = sorted(range(1 << n), key=member_key)
+    random.Random(seed).shuffle(masks)
+    g = SetFamily(n)
+    for m in masks:
+        if m not in g and not creates_diamond(g.members, m):
+            g = g.add(m)
+    assert greedy_saturate(SetFamily(n), D, order="shuffle", seed=seed) == g
 
 
 def test_greedy_generic_pattern():
