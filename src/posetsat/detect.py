@@ -81,46 +81,51 @@ def validate_embedding(emb: Embedding) -> str | None:
         return "mapping length differs from pattern size"
     if any(not 0 <= i < len(f.members) for i in mp):
         return "mapping index out of range"
-    # distinct indices of distinct members are distinct masks
-    bad = first_invalid_row(p, [emb.image_masks()], f.members)
+    # indices in range pick members, and distinct indices distinct masks
+    bad = first_invalid_row(p, [emb.image_masks()])
     return None if bad is None else bad[1]
 
 
-# Rows per pass of first_invalid_row; a pass holds a few (rows, k, k) arrays.
-_CHECK_ROWS = 1 << 16
+# Rows per pass of first_invalid_row; a pass holds a few (k, k, rows) arrays.
+_CHECK_ROWS = 1 << 13
 
 
 def first_invalid_row(
-    p: PatternPoset, images, members, added: np.ndarray | None = None
+    p: PatternPoset, images, members=None, added: np.ndarray | None = None
 ) -> tuple[int, str] | None:
     """First row of image masks that is no induced copy of p, with the reason.
 
     ``images`` is an (r, p.size) array of masks, point by point.  Row i
-    must be distinct members of ``members`` (or ``added[i]``, when given)
-    whose inclusions are exactly p's order: ``p.leq[a][b]`` iff
-    ``x_a & x_b == x_a``.  This is the one implementation of that test;
-    validate_embedding applies it to one row.  Returns None when every
-    row passes.
+    must be distinct masks whose inclusions are exactly p's order
+    (``p.leq[a][b]`` iff ``x_a & x_b == x_a``) and, when ``members`` is
+    given, members of it or ``added[i]``.  This is the one
+    implementation of that test; validate_embedding applies it to one
+    row.  Returns None when every row passes.
     """
     k = p.size
     images = np.array(images, dtype=np.uint64).reshape(-1, k)
-    family = np.array(members, dtype=np.uint64)
+    leq = np.array(p.leq, dtype=bool)[:, :, None]
+    upper = (np.arange(k)[:, None] < np.arange(k))[:, :, None]  # the pairs a < b
+    family = None if members is None else np.array(members, dtype=np.uint64)
     for r0 in range(0, len(images), _CHECK_ROWS):
         x = np.ascontiguousarray(images[r0:r0 + _CHECK_ROWS].T)  # x[a]: point a's images
-        member = np.isin(x, family, kind="sort")
-        if added is not None:
-            member |= x == np.asarray(added, dtype=np.uint64)[r0:r0 + _CHECK_ROWS]
-        pairs = [(a, b) for a in range(k) for b in range(k)]
-        repeated = np.array([x[a] == x[b] for a, b in pairs if a < b]).reshape(-1, len(x[0]))
-        mismatch = np.array([((x[a] & x[b]) == x[a]) != p.leq[a][b] for a, b in pairs])
-        bad = np.flatnonzero(~member.all(0) | repeated.any(0) | mismatch.any(0))
+        outside = np.zeros(x.shape[1], dtype=bool)
+        if family is not None:
+            member = np.isin(x, family, kind="sort")
+            if added is not None:
+                member |= x == np.asarray(added, dtype=np.uint64)[r0:r0 + _CHECK_ROWS]
+            outside = ~member.all(0)
+        inside = (x[:, None] & x[None]) == x[:, None]  # inside[a, b]: x_a is inside x_b
+        repeated = (inside & inside.transpose(1, 0, 2) & upper).any((0, 1))
+        mismatch = inside != leq
+        bad = np.flatnonzero(outside | repeated | mismatch.any((0, 1)))
         if len(bad):
             i = int(bad[0])
-            if not member[:, i].all():
+            if outside[i]:
                 return r0 + i, "mapping index out of range"
-            if repeated[:, i].any():
+            if repeated[i]:
                 return r0 + i, "mapping is not injective"
-            a, b = pairs[int(mismatch[:, i].argmax())]
+            a, b = divmod(int(mismatch[:, :, i].argmax()), k)
             return r0 + i, f"relation mismatch at pattern pair ({a}, {b})"
     return None
 
