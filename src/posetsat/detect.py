@@ -107,13 +107,14 @@ def first_invalid_row(
     leq = np.array(p.leq, dtype=bool)[:, :, None]
     upper = (np.arange(k)[:, None] < np.arange(k))[:, :, None]  # the pairs a < b
     family = None if members is None else np.array(members, dtype=np.uint64)
+    added = None if added is None else np.asarray(added, dtype=np.uint64)
     for r0 in range(0, len(images), _CHECK_ROWS):
         x = np.ascontiguousarray(images[r0:r0 + _CHECK_ROWS].T)  # x[a]: point a's images
         outside = np.zeros(x.shape[1], dtype=bool)
         if family is not None:
             member = np.isin(x, family, kind="sort")
             if added is not None:
-                member |= x == np.asarray(added, dtype=np.uint64)[r0:r0 + _CHECK_ROWS]
+                member |= x == added[r0:r0 + _CHECK_ROWS]
             outside = ~member.all(0)
         inside = (x[:, None] & x[None]) == x[:, None]  # inside[a, b]: x_a is inside x_b
         repeated = (inside & inside.transpose(1, 0, 2) & upper).any((0, 1))
