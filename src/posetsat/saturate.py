@@ -371,17 +371,15 @@ class _DiamondScanner:
         top = self.topable[batch] & ~bottom
         middle = ~(bottom | top)
         s = batch[bottom]
-        if len(s):
-            i, j = self.bottom_pairs[_first(s, self.bottom_keys, lambda x, g: x & g == x)].T
-            union = ms[i] | ms[j]
-            e = _first(union, ms, lambda u, m: m & u == u)
-            out[bottom] = np.stack([s, ms[i], ms[j], ms[e]], axis=1)
+        i, j = self.bottom_pairs[_first(s, self.bottom_keys, lambda x, g: x & g == x)].T
+        union = ms[i] | ms[j]
+        e = _first(union, ms, lambda u, m: m & u == u)
+        out[bottom] = np.stack([s, ms[i], ms[j], ms[e]], axis=1)
         s = batch[top]
-        if len(s):
-            i, j = self.top_pairs[_first(s, self.top_keys, lambda x, g: x & g == g)].T
-            inter = ms[i] & ms[j]
-            b = _first(inter, ms, lambda v, m: m & v == m)
-            out[top] = np.stack([ms[b], ms[i], ms[j], s], axis=1)
+        i, j = self.top_pairs[_first(s, self.top_keys, lambda x, g: x & g == g)].T
+        inter = ms[i] & ms[j]
+        b = _first(inter, ms, lambda v, m: m & v == m)
+        out[top] = np.stack([ms[b], ms[i], ms[j], s], axis=1)
         subtab, suptab = self.subtab, self.suptab
 
         def passes(x, d):
