@@ -22,9 +22,11 @@ every later point takes its candidates from the members above, below or
 incomparable to s, as in Ullmann's and VF2's candidate filtering.
 Witnesses through s come from ``find_induced_using``, which keeps the
 linear-extension order and so the lexicographically least witness.
-For the exact search at n <= 6, ``diamond_blocked`` answers the diamond
-through-test for every mask at once, as one family word of the masks
-that create a diamond, over a whole batch of families.
+The diamond's through-test ``creates_diamond`` is a few vector passes
+per role of s over a member array; greedy completion and the scans
+above the table limit share it.  For the exact search at n <= 6,
+``diamond_blocked`` answers it for every mask at once, as one family
+word of the masks that create a diamond, over a whole batch of families.
 
 Witnesses are checked again by one implementation of the embedding
 conditions, ``first_invalid_row``: it takes rows of image masks, so a
@@ -386,10 +388,11 @@ def creates_copy(members: tuple[int, ...], m: int, p: PatternPoset) -> bool:
 
     Raw-tuple variant for enumeration inner loops; ``members`` must not
     contain m and may come in any order.  The diamond goes to
-    creates_diamond.  Otherwise m is placed first, on one point per
-    automorphism orbit of p (a copy with m at y gives one with m at any
-    image of y), and every later point draws its candidates from the
-    members above, below or incomparable to m, split once per call.
+    creates_diamond, which also takes a uint64 member array.  Otherwise
+    m is placed first, on one point per automorphism orbit of p (a copy
+    with m at y gives one with m at any image of y), and every later
+    point draws its candidates from the members above, below or
+    incomparable to m, split once per call.
     """
     if p is DIAMOND or p == DIAMOND:
         return creates_diamond(members, m)
@@ -410,32 +413,42 @@ def creates_copy(members: tuple[int, ...], m: int, p: PatternPoset) -> bool:
 def creates_diamond(members, m: int) -> bool:
     """True iff members + {m} has a diamond through m (m not in members).
 
-    Checks the three roles m can play: middle, bottom, top.
+    ``members`` is a tuple or a uint64 array of masks, in any order.
+    Each role of m is a few vector passes: as a middle, some member
+    incomparable to m contains a member inside m and lies inside one
+    containing m; as a bottom, two incomparable supersets of m lie inside
+    a third; as a top, so do the complements of two subsets of m.
     """
-    subs = [x for x in members if x & m == x]
-    sups = [x for x in members if x & m == m]
-    for d in members:
-        dm = d & m
-        if dm == d or dm == m:
-            continue
-        if any(b & dm == b for b in subs) and any(e & (d | m) == (d | m) for e in sups):
+    ms = np.asarray(members, dtype=np.uint64)
+    m = np.uint64(m)
+    inter = ms & m
+    below, above = inter == ms, inter == m
+    subs, sups = ms[below], ms[above]
+    if len(subs) and len(sups):
+        # (small, large) matrices reduced over axis 0 keep numpy's inner loops long
+        mid = ms[~(below | above)]
+        mid = mid[((mid & sups[:, None]) == mid).any(0)]
+        if ((mid & subs[:, None]) == subs[:, None]).any():
             return True
-    for i, c in enumerate(sups):
-        for d in sups[i + 1:]:
-            cd = c & d
-            if cd == c or cd == d:
-                continue
-            u = c | d
-            if any(e & u == u for e in members):
-                return True
-    for i, c in enumerate(subs):
-        for d in subs[i + 1:]:
-            cd = c & d
-            if cd == c or cd == d:
-                continue
-            if any(b & cd == b for b in members):
-                return True
-    return False
+    return _has_topped_pair(sups) or _has_topped_pair(~subs)
+
+
+# Above this many masks _has_topped_pair takes find_diamond's blocked
+# search, which stops at the first pair, instead of one full product.
+_SMALL_PAIRS = 64
+
+
+def _has_topped_pair(xs: np.ndarray) -> bool:
+    """Whether two incomparable masks of xs lie inside a third one of xs."""
+    if len(xs) < 3:
+        return False
+    if len(xs) > _SMALL_PAIRS:
+        return _first_topped_pair(xs) is not None
+    inside = (xs & xs[:, None]) == xs[:, None]  # inside[i, k]: xs[i] is inside xs[k]
+    incomparable = ~(inside | inside.T)
+    # a common superset of an incomparable pair is strictly above both
+    up = inside.astype(np.float32)
+    return bool((up @ up.T)[incomparable].any())
 
 
 @lru_cache(maxsize=None)

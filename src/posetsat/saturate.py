@@ -16,8 +16,11 @@ at a time with ``detect.creates_copy``.  The scan stops at the first
 batch holding a failure, and the report names the canonical first
 failure, so verdict and evidence never depend on batch boundaries.
 Spot mode sorts its sample into the same canonical order and tests it
-as one batch of the same kind; above the table limit the diamond is
-tested pairwise (``detect.creates_diamond``), one mask at a time.
+as one batch of the same kind; above the table limit the diamond
+takes the vector through-test ``detect.creates_diamond``: a few numpy
+passes over the member array per mask, with no 2^n table, up to n = 64.
+Greedy completion shares that test: it hands ``creates_diamond`` the
+member array, grown by appending as sets are accepted.
 
 Witnesses come in batches too, as rows of image masks: the diamond
 scanner finds every row of a batch in a few vector passes, and other
@@ -433,13 +436,18 @@ def _first(xs: np.ndarray, cands: np.ndarray, pred) -> np.ndarray:
 
 def _search_witnesses(f: SetFamily, p: PatternPoset, batch: np.ndarray) -> np.ndarray:
     """(len(batch), p.size) image masks of find_induced_using's copy
-    through each mask, or -1s."""
-    out = np.full((len(batch), p.size), -1, dtype=np.int64)
-    for r, s in enumerate(batch.tolist()):
+    through each mask, in batch's dtype.
+
+    Raises InternalCheckError for a mask with no copy through it: at
+    n = 64 every uint64 value is a mask, so no row value can mark it.
+    """
+    rows = []
+    for s in batch.tolist():
         emb = find_induced_using(f, s, p)
-        if emb is not None:
-            out[r] = emb.image_masks()
-    return out
+        if emb is None:
+            raise InternalCheckError(f"no witness found through {elements_of(s)}")
+        rows.append(emb.image_masks())
+    return np.array(rows, dtype=batch.dtype).reshape(len(batch), p.size)
 
 
 def is_saturated(
@@ -478,6 +486,7 @@ def is_saturated(
 
     def certify(added: np.ndarray) -> Certificate:
         images = witnesses(added)
+        # the scanner marks a mask without a witness by a row of -1s
         lost = np.flatnonzero((images < 0).any(1))
         if len(lost):
             raise InternalCheckError(f"no witness found through {elements_of(int(added[lost[0]]))}")
@@ -493,7 +502,9 @@ def is_saturated(
             m = rng.getrandbits(f.n)
             if m not in f and m not in chosen:
                 chosen.add(m)
-        ordered = np.array(sorted(chosen, key=member_key), dtype=np.int64)
+        # the scanner's rows are int64; above its tables masks of [64] reach 2^63
+        dtype = np.int64 if f.n <= MAX_TABLE_N else np.uint64
+        ordered = np.array(sorted(chosen, key=member_key), dtype=dtype)
         bad = first_failure(ordered)
         if bad is not None:
             return SaturationReport(
@@ -538,65 +549,6 @@ def _validated(report: SaturationReport) -> SaturationReport:
     return report
 
 
-def _greedy_diamond(start: SetFamily, order_masks: list[int]) -> SetFamily:
-    """Greedy diamond-free completion with vectorized creation tests.
-
-    The subset and superset tables are built once; an accepted set ORs
-    its up-cone and down-cone into them.
-    """
-    n = start.n
-    members: list[int] = list(start.members)
-    member_set = set(members)
-    arr = np.array(members, dtype=np.int64) if members else np.empty(0, dtype=np.int64)
-    subtab = subset_table(n, members)
-    suptab = superset_table(n, members)
-
-    def creates(m: int) -> bool:
-        if len(arr) == 0:
-            return False
-        inter = arr & m
-        union = arr | m
-        incomp = (inter != arr) & (inter != m)
-        if bool(np.any(incomp & subtab[inter] & suptab[union])):
-            return True
-        sups = arr[inter == m]
-        if len(sups) >= 2:
-            iu = sups[:, None] | sups[None, :]
-            ii = sups[:, None] & sups[None, :]
-            pair_inc = (ii != sups[:, None]) & (ii != sups[None, :])
-            if bool(np.any(pair_inc & suptab[iu])):
-                return True
-        subs = arr[(arr & m) == arr]
-        if len(subs) >= 2:
-            ii = subs[:, None] & subs[None, :]
-            pair_inc = (ii != subs[:, None]) & (ii != subs[None, :])
-            if bool(np.any(pair_inc & subtab[ii])):
-                return True
-        return False
-
-    full = (1 << n) - 1
-    for m in order_masks:
-        if m in member_set:
-            continue
-        if not creates(m):
-            members.append(m)
-            member_set.add(m)
-            arr = np.array(members, dtype=np.int64)
-            subtab[_cone(m, full ^ m)] = True  # the sets containing m
-            suptab[_cone(0, m)] = True  # the sets inside m
-    return SetFamily(n, tuple(members))
-
-
-def _cone(base: int, free: int) -> np.ndarray:
-    """base | x for every x inside free, as an int64 array."""
-    out = np.array([base], dtype=np.int64)
-    while free:
-        low = free & -free
-        out = np.concatenate([out, out | low])
-        free ^= low
-    return out
-
-
 def greedy_saturate(
     f: SetFamily, p: PatternPoset, order: str = "canonical", seed: int = 0
 ) -> SetFamily:
@@ -611,32 +563,27 @@ def greedy_saturate(
         raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
+    if order not in ("canonical", "reverse", "shuffle"):
+        raise ValueError(f"unknown order {order!r}")
     masks = canonical_order(f.n).tolist()
-    if order == "canonical":
-        pass
-    elif order == "reverse":
+    if order == "reverse":
         masks.reverse()
     elif order == "shuffle":
         random.Random(seed).shuffle(masks)
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    if p == DIAMOND:
-        return _greedy_diamond(f, masks)
-    g = f
+    # creates_diamond reads a uint64 array; appending to one spares a conversion per mask
+    diamond = p == DIAMOND
+    members = np.array(f.members, dtype=np.uint64) if diamond else f.members
+    present = set(f.members)
     for m in masks:
-        if m not in g and not creates_copy(g.members, m, p):
-            g = g.add(m)
-    return g
+        if m not in present and not creates_copy(members, m, p):
+            members = np.append(members, np.uint64(m)) if diamond else members + (m,)
+            present.add(m)
+    return SetFamily(f.n, tuple(present))
 
 
 def chain_family(n: int) -> SetFamily:
     """The maximal chain {}, {1}, {1,2}, ..., [n]."""
-    masks = [0]
-    m = 0
-    for i in range(n):
-        m |= 1 << i
-        masks.append(m)
-    return SetFamily(n, tuple(masks))
+    return SetFamily(n, tuple((1 << i) - 1 for i in range(n + 1)))
 
 
 def empty_plus_singletons(n: int) -> SetFamily:

@@ -93,6 +93,12 @@ def test_check_spot_mode_above_the_table_limit(tmp_path, capsys):
     assert len(doc["report"]["sample"]) == 8
 
 
+def test_check_spot_mode_over_64_elements(tmp_path, capsys):
+    code, doc = check_json(capsys, write(tmp_path, "lone64", SetFamily(64, (0,))), "--mode", "spot:4")
+    assert code == 2
+    assert doc["report"]["verdict"] == "FREE_NOT_SATURATED" and doc["report"]["n"] == 64
+
+
 def test_check_full_mode_above_the_cap_is_a_usage_error(tmp_path, capsys):
     big = write(tmp_path, "big", chain_family(25))
     code, out, err = run(capsys, "check", "--family", big, "--pattern", "diamond")
@@ -148,6 +154,23 @@ def test_search_manifests_validate(capsys, argv, value):
     jsonschema.validate(doc, schema("search_manifest"))
     assert "threads" not in doc["config"]
     assert doc["result"]["status"] == "exact" and doc["result"]["value"] == value
+
+
+def test_noextremes_manifest_validates(capsys):
+    code, out, _ = run(capsys, "noextremes", "--n", "4", "--pattern", "diamond")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("search_manifest"))
+    result = doc["result"]
+    assert (result["status"], result["value"], result["witness_count"]) == ("exact", 8, 2)
+
+
+def test_hasse_draws_the_covers_of_a_chain(tmp_path, capsys):
+    code, out, _ = run(capsys, "hasse", "--family", write(tmp_path, "chain3", chain_family(3)))
+    assert code == 0
+    assert [line.strip() for line in out.splitlines() if "->" in line] == [
+        "n0 -> n1;", "n1 -> n2;", "n2 -> n3;"
+    ]
 
 
 def test_q3probe_report_validates(capsys):

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,13 +220,32 @@ def test_monotonicity_under_superfamilies(f, pi, rnd):
     assert find_induced(g, p) is not None
 
 
+# Families over [64] with members at or above 2^63 and a set s to add:
+# a diamond through s as its bottom, its top, a middle, then none twice.
+HIGH = 1 << 63
+WIDE_CASES = [
+    (SetFamily(64, (HIGH | 1, HIGH | 2, HIGH | 3)), HIGH),
+    (SetFamily(64, (HIGH, HIGH | 1, HIGH | 2)), HIGH | 3),
+    (SetFamily(64, (HIGH, HIGH | 1, HIGH | 3)), HIGH | 2),
+    (SetFamily(64, (0, HIGH, HIGH | 3)), 4),
+    (SetFamily(64, ((1 << 64) - 1, HIGH, HIGH | 3)), HIGH | 1),
+]
+
+
 @given(families())
 @settings(max_examples=200, deadline=None)
 def test_creates_diamond_matches_oracle(f):
     missing = [m for m in range(1 << f.n) if m not in f]
+    as_array = np.array(f.members, dtype=np.uint64)
     for s in missing[:4]:
-        assert creates_diamond(f.members, s) == oracles.diamond_through(f, s)
-        assert creates_copy(f.members, s, DIAMOND) == oracles.diamond_through(f, s)
+        expected = oracles.diamond_through(f, s)
+        assert creates_diamond(f.members, s) == expected
+        assert creates_diamond(as_array, s) == expected
+        assert creates_copy(f.members, s, DIAMOND) == expected
+    for wide, s in WIDE_CASES:
+        expected = oracles.diamond_through(wide, s)
+        assert creates_diamond(wide.members, s) == expected
+        assert creates_diamond(np.array(wide.members, dtype=np.uint64), s) == expected
 
 
 @given(families(max_size=12))

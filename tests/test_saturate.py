@@ -114,6 +114,20 @@ def test_spot_mode_above_the_table_limit():
     assert bad.missing not in lone and not oracles.diamond_through(lone, bad.missing)
 
 
+def test_spot_mode_over_64_elements():
+    # masks of [64] reach 2^63, past int64
+    rep = is_saturated(chain_family(64), D, mode="spot", spot=8, seed=1)
+    assert rep.verdict is Verdict.SATURATED and rep.checked == 8
+    assert any(m >> 63 for m, _ in rep.sample)
+    for m, emb in rep.sample:
+        assert emb.uses(m) and validate_embedding(emb) is None
+    assert rep.validate() is None
+    lone = SetFamily(64, (0,))
+    bad = is_saturated(lone, D, mode="spot", spot=4)
+    assert bad.verdict is Verdict.FREE_NOT_SATURATED
+    assert bad.missing not in lone and not oracles.diamond_through(lone, bad.missing)
+
+
 @pytest.mark.parametrize(
     "mode, certificate", [("full", False), ("spot", False), ("full", True)], ids=["full", "spot", "certificate"]
 )
@@ -505,15 +519,16 @@ def test_greedy_diamond_completions_are_pinned(n):
     assert digest.hexdigest()[:16] == GREEDY_DIGESTS[n]
 
 
-@given(st.integers(1, 6), st.integers(0, 999))
+@given(st.integers(1, 4), st.integers(0, 999))
 @settings(max_examples=30, deadline=None)
 def test_greedy_diamond_matches_the_pairwise_test(n, seed):
-    # the generic greedy pass over creates_diamond, as the reference
+    # a greedy pass over the oracle's quadruple loop, as the reference;
+    # its cost grows as |f|^4 per mask, so n stays at 4 or below
     masks = sorted(range(1 << n), key=member_key)
     random.Random(seed).shuffle(masks)
     g = SetFamily(n)
     for m in masks:
-        if m not in g and not creates_diamond(g.members, m):
+        if m not in g and not oracles.diamond_through(g, m):
             g = g.add(m)
     assert greedy_saturate(SetFamily(n), D, order="shuffle", seed=seed) == g
 
