@@ -452,7 +452,7 @@ def _has_topped_pair(xs: np.ndarray) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cone_words(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _up_down_words(n: int) -> tuple[np.ndarray, np.ndarray]:
     """up[x], down[x]: words of the masks containing x and inside x."""
     masks = np.arange(1 << n)
     inside = (masks[:, None] & masks) == masks  # inside[x, m]: m is inside x
@@ -472,7 +472,7 @@ def diamond_blocked(n: int, fams: np.ndarray, words: np.ndarray) -> np.ndarray:
     member containing c | d, or a middle beside a member c, incomparable
     to c, above a member inside c and below a member containing c.
     """
-    up, down = _cone_words(n)
+    up, down = _up_down_words(n)
     cols = list(fams.T)
     blocked = np.zeros_like(words)
     for i, c in enumerate(cols):
