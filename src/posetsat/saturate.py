@@ -563,13 +563,15 @@ def greedy_saturate(
         raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
-    if order not in ("canonical", "reverse", "shuffle"):
-        raise ValueError(f"unknown order {order!r}")
     masks = canonical_order(f.n).tolist()
-    if order == "reverse":
+    if order == "canonical":
+        pass
+    elif order == "reverse":
         masks.reverse()
     elif order == "shuffle":
         random.Random(seed).shuffle(masks)
+    else:
+        raise ValueError(f"unknown order {order!r}")
     # creates_diamond reads a uint64 array; appending to one spares a conversion per mask
     diamond = p == DIAMOND
     members = np.array(f.members, dtype=np.uint64) if diamond else f.members
@@ -583,7 +585,12 @@ def greedy_saturate(
 
 def chain_family(n: int) -> SetFamily:
     """The maximal chain {}, {1}, {1,2}, ..., [n]."""
-    return SetFamily(n, tuple((1 << i) - 1 for i in range(n + 1)))
+    masks = [0]
+    m = 0
+    for i in range(n):
+        m |= 1 << i
+        masks.append(m)
+    return SetFamily(n, tuple(masks))
 
 
 def empty_plus_singletons(n: int) -> SetFamily:

@@ -221,14 +221,19 @@ def test_monotonicity_under_superfamilies(f, pi, rnd):
 
 
 # Families over [64] with members at or above 2^63 and a set s to add:
-# a diamond through s as its bottom, its top, a middle, then none twice.
+# a diamond through s as its bottom, its top, a middle, then none twice;
+# last, 65 supersets of s, past the size where the pair check stops
+# using one product, with and without a top over two of them.
 HIGH = 1 << 63
+PAIRS = tuple(1 << i | 1 << (i + 1) for i in range(63)) + (HIGH | 1, 5)
 WIDE_CASES = [
     (SetFamily(64, (HIGH | 1, HIGH | 2, HIGH | 3)), HIGH),
     (SetFamily(64, (HIGH, HIGH | 1, HIGH | 2)), HIGH | 3),
     (SetFamily(64, (HIGH, HIGH | 1, HIGH | 3)), HIGH | 2),
     (SetFamily(64, (0, HIGH, HIGH | 3)), 4),
     (SetFamily(64, ((1 << 64) - 1, HIGH, HIGH | 3)), HIGH | 1),
+    (SetFamily(64, PAIRS[:-1] + (HIGH | 3,)), 0),
+    (SetFamily(64, PAIRS), 0),
 ]
 
 
@@ -242,10 +247,13 @@ def test_creates_diamond_matches_oracle(f):
         assert creates_diamond(f.members, s) == expected
         assert creates_diamond(as_array, s) == expected
         assert creates_copy(f.members, s, DIAMOND) == expected
-    for wide, s in WIDE_CASES:
-        expected = oracles.diamond_through(wide, s)
-        assert creates_diamond(wide.members, s) == expected
-        assert creates_diamond(np.array(wide.members, dtype=np.uint64), s) == expected
+
+
+@pytest.mark.parametrize("f, s", WIDE_CASES, ids=["bottom", "top", "middle", "none-beside", "none-chain", "wide-bottom", "wide-none"])
+def test_creates_diamond_matches_oracle_over_64_elements(f, s):
+    expected = oracles.diamond_through(f, s)
+    assert creates_diamond(f.members, s) == expected
+    assert creates_diamond(np.array(f.members, dtype=np.uint64), s) == expected
 
 
 @given(families(max_size=12))
