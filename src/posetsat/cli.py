@@ -26,8 +26,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .detect import DIAMOND
-from .families import FamilyFormatError, SetFamily, family_to_json, parse_family
+from .families import FamilyFormatError, SetFamily, parse_family
 from .hasse import hasse_dot
 from .posets import PatternFormatError, PatternPoset, parse_pattern, pattern_from_spec
 from .saturate import InternalCheckError, Verdict, is_saturated, upper_bound_catalog

@@ -466,6 +466,12 @@ def is_saturated(
     subset.  With ``certificate=True`` the full map missing-set ->
     embedding is materialized.
     """
+    return _saturation(f, p, mode, spot, seed, certificate)[0]
+
+
+def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, certificate=False):
+    """is_saturated's report and the diamond scanner whose tables decided
+    it: None when f is not free or the scan used no tables."""
     if mode not in ("full", "spot"):
         raise ValueError(f"mode must be 'full' or 'spot', got {mode!r}")
     if mode == "full" and f.n > MAX_FULL_N:
@@ -473,8 +479,9 @@ def is_saturated(
 
     inner = find_diamond(f) if p == DIAMOND else find_induced(f, p)
     if inner is not None:
-        return SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner)
+        return SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner), None
 
+    scanner = None
     if p != DIAMOND or f.n > MAX_TABLE_N:
         first_failure = _scalar_failure(partial(creates_copy, f.members, p=p))
         witnesses, shape = partial(_search_witnesses, f, p), p
@@ -510,12 +517,12 @@ def is_saturated(
             return SaturationReport(
                 Verdict.FREE_NOT_SATURATED, f, p, mode, exhaustive, k,
                 missing=int(ordered[bad]), seed=seed,
-            )
+            ), scanner
         head = certify(ordered[:_SAMPLE_LIMIT])
         sample = tuple(head.entry(r) for r in range(len(head)))
         return _validated(SaturationReport(
             Verdict.SATURATED, f, p, mode, exhaustive, k, sample=sample, seed=seed
-        ))
+        )), scanner
 
     checked = 0
     passed: list[np.ndarray] = []
@@ -525,7 +532,7 @@ def is_saturated(
             checked += bad + 1
             return SaturationReport(
                 Verdict.FREE_NOT_SATURATED, f, p, mode, True, checked, missing=int(batch[bad])
-            )
+            ), scanner
         if certificate or not passed:
             passed.append(batch)
         checked += len(batch)
@@ -538,7 +545,7 @@ def is_saturated(
     sample = tuple(head.entry(r) for r in range(min(_SAMPLE_LIMIT, len(head))))
     return _validated(SaturationReport(
         Verdict.SATURATED, f, p, mode, True, checked, certificate=cert, sample=sample
-    ))
+    )), scanner
 
 
 def _validated(report: SaturationReport) -> SaturationReport:

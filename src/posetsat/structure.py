@@ -17,6 +17,12 @@ plus the dual pieces ``X``/``Y0``/``Y1``/``Y``/``HY``/``Wbar``, obtained
 by running the same construction on the complement family and
 complementing the results back.
 
+The decomposition shares the diamond scanner's tables (``saturate``):
+the complement family's tables are the same ones reversed and
+complemented, so none is built twice.  ``verify_structure_invariants``
+hands over the tables its saturation scan has built; only the public
+``decompose`` runs ``find_diamond`` and builds them itself.
+
 ``verify_structure_invariants`` evaluates a fixed list of structural
 facts (identified as L2.1 .. P4.3) that hold for every diamond-saturated
 family, reporting pass, fail with a counterexample, or n/a when a
@@ -42,16 +48,14 @@ from .families import (
     maximal_sets,
     member_key,
     minimal_sets,
+    subset_table,
     superset_table,
 )
-from .posets import make_chain
-from .saturate import SaturationReport, Verdict, is_saturated, pair_generators
+from .saturate import SaturationReport, Verdict, _DiamondScanner, _first, _saturation
 
 MAX_DECOMPOSE_N = 20
 # B0 and Y0 are listed in full in the JSON only up to this many members.
 B0_LIMIT = 4096
-
-CHAIN2 = make_chain(2)
 
 
 class NotDiamondFreeError(ValueError):
@@ -115,103 +119,70 @@ class Decomposition:
         return out
 
 
-@dataclass
-class _PrimalParts:
-    A: SetFamily
-    B0: SetFamily
-    B1: SetFamily
-    B: SetFamily
-    GB: SetFamily
-    W: int
-    mA: int
-    witnesses: dict[int, tuple[int, int, int]]
-
-
-def _primal_parts(f: SetFamily) -> _PrimalParts:
+def _primal_parts(f: SetFamily, suptab: np.ndarray, gens: np.ndarray, bottomable: np.ndarray) -> tuple:
+    """(A, B0, B1, B, GB, W, mA, witnesses) of f, from its superset table,
+    the bottom generators (intersections of incomparable member pairs with
+    a common top) and the table of the sets inside some generator."""
     n = f.n
-    ms = f.members
     A = minimal_sets(f)
-    union_a = 0
-    for a in A.members:
-        union_a |= a
-    W = f.full_mask & ~union_a
     mA = max((a.bit_count() for a in A.members), default=0)
+    B0 = SetFamily(n, tuple(np.flatnonzero(bottomable).tolist()))
+    B1 = maximal_sets(SetFamily(n, tuple(gens.tolist())))
+    B = SetFamily(n, tuple(g for g in B1.members if not any(g & a == g for a in A.members)))
 
-    suptab = superset_table(n, ms)
-    gens, _ = pair_generators(ms, suptab)
-    bottom_table = superset_table(n, gens)
-    B0 = SetFamily(n, tuple(int(x) for x in np.nonzero(bottom_table)[0]))
-    B1 = maximal_sets(SetFamily(n, gens))
-    b_members = tuple(g for g in B1.members if not any(g & a == g for a in A.members))
-    B = SetFamily(n, b_members)
+    def middle(x, c):
+        xc = x & c
+        return (xc != x) & (xc != c) & suptab[x | c]
 
+    ms = np.array(f.members, dtype=np.int64)
     witnesses: dict[int, tuple[int, int, int]] = {}
     gb_masks: set[int] = set()
     for b in B.members:
-        sups = [m for m in ms if m & b == b]
         # b is never a member of a diamond-free family, so every m here is strict
-        found_top = None
-        for pi, pm in enumerate(sups):
-            in_gb = False
-            for rm in sups:
-                if rm == pm:
-                    continue
-                inter = pm & rm
-                if inter == pm or inter == rm:
-                    continue
-                if suptab[pm | rm]:
-                    in_gb = True
-                    if found_top is None:
-                        union = pm | rm
-                        for e in ms:
-                            if e & union == union:
-                                found_top = (pm, rm, e)
-                                break
-                    break
-            if in_gb:
-                gb_masks.add(pm)
-        if found_top is not None:
-            witnesses[b] = found_top
-    GB = SetFamily(n, tuple(gb_masks))
-    return _PrimalParts(A, B0, B1, B, GB, W, mA, witnesses)
+        sups = ms[ms & b == b]
+        # per member above b, the first member above b it is incomparable
+        # to with a common top, or -1
+        mate = _first(sups, sups, middle)
+        rows = np.flatnonzero(mate >= 0)
+        gb_masks.update(sups[rows].tolist())
+        if len(rows):
+            pm, rm = int(sups[rows[0]]), int(sups[mate[rows[0]]])
+            union = pm | rm
+            witnesses[b] = (pm, rm, int(ms[np.argmax(ms & union == union)]))
+    return A, B0, B1, B, SetFamily(n, tuple(gb_masks)), w_of(A), mA, witnesses
 
 
 def decompose(f: SetFamily) -> Decomposition:
     """Compute the full decomposition; the family must be diamond-free."""
+    return _decomposition(f, None)
+
+
+def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decomposition:
+    """decompose, from the tables of a diamond scanner over f when given
+    (the family is then known to be diamond-free).
+
+    The complement family's superset table is ``subtab`` reversed, and its
+    bottom generators and their table are the complements of the top
+    generators and ``topable`` reversed.
+    """
     if f.n > MAX_DECOMPOSE_N:
         raise ValueError(f"decomposition needs n <= {MAX_DECOMPOSE_N}, got {f.n}")
-    witness = find_diamond(f)
-    if witness is not None:
-        raise NotDiamondFreeError(witness)
-    prim = _primal_parts(f)
-    fc = complement_family(f)
-    dual = _primal_parts(fc)
+    if tables is None:
+        witness = find_diamond(f)
+        if witness is not None:
+            raise NotDiamondFreeError(witness)
+        tables = _DiamondScanner(f)
     full = f.full_mask
-
-    def comp(fam: SetFamily) -> SetFamily:
-        return SetFamily(f.n, tuple(full ^ m for m in fam.members))
-
-    y_witnesses = {
-        full ^ b: (full ^ c, full ^ d, full ^ e) for b, (c, d, e) in dual.witnesses.items()
-    }
-    return Decomposition(
-        family=f,
-        A=prim.A,
-        B0=prim.B0,
-        B1=prim.B1,
-        B=prim.B,
-        GB=prim.GB,
-        W=prim.W,
-        mA=prim.mA,
-        X=comp(dual.A),
-        Y0=comp(dual.B0),
-        Y1=comp(dual.B1),
-        Y=comp(dual.B),
-        HY=comp(dual.GB),
-        Wbar=dual.W,
-        b_witnesses=prim.witnesses,
-        y_witnesses=y_witnesses,
+    A, B0, B1, B, GB, W, mA, b_witnesses = _primal_parts(
+        f, tables.suptab, tables.bottom_keys, tables.bottomable
     )
+    # the complement family's parts, complemented back
+    *parts, Wbar, _, witnesses = _primal_parts(
+        complement_family(f), tables.subtab[::-1], full ^ tables.top_keys, tables.topable[::-1]
+    )
+    X, Y0, Y1, Y, HY = (SetFamily(f.n, tuple(full ^ m for m in g.members)) for g in parts)
+    y_witnesses = {full ^ b: (full ^ c, full ^ d, full ^ e) for b, (c, d, e) in witnesses.items()}
+    return Decomposition(f, A, B0, B1, B, GB, W, mA, X, Y0, Y1, Y, HY, Wbar, b_witnesses, y_witnesses)
 
 
 def f_of(i: int, g: SetFamily) -> SetFamily:
@@ -451,16 +422,25 @@ def _check_l22(f: SetFamily, dec: Decomposition, nested):
     return False, {"A_size": len(dec.A), "X_size": len(dec.X)}
 
 
+def _chain2_verdict(g: SetFamily) -> Verdict:
+    """2-chain verdict of g: free iff g is an antichain, and then saturated
+    iff every set is comparable to some member."""
+    if minimal_sets(g) != g:
+        return Verdict.NOT_FREE
+    if (subset_table(g.n, g.members) | superset_table(g.n, g.members)).all():
+        return Verdict.SATURATED
+    return Verdict.FREE_NOT_SATURATED
+
+
 @_lemma("L2.3", "minimal members and B are disjoint and their union is 2-chain-saturated")
 def _check_l23(f: SetFamily, dec: Decomposition, nested):
     overlap = sorted(set(dec.A.members) & set(dec.B.members), key=member_key)
     union = SetFamily(dec.n, dec.A.members + dec.B.members)
-    rep = is_saturated(union, CHAIN2, mode="full")
-    ok = not overlap and rep.verdict is Verdict.SATURATED
-    return ok, {
+    verdict = _chain2_verdict(union)
+    return not overlap and verdict is Verdict.SATURATED, {
         "overlap": [list(elements_of(m)) for m in overlap],
         "union_size": len(union),
-        "chain2_verdict": rep.verdict.value,
+        "chain2_verdict": verdict.value,
     }
 
 
@@ -487,16 +467,18 @@ def _check_l24(f: SetFamily, dec: Decomposition, nested):
     ),
 )
 def _check_l25(f: SetFamily, dec: Decomposition, nested):
+    # at_least[c] / at_most[c] members have at least / at most c elements
+    counts = np.bincount([m.bit_count() for m in f.members], minlength=f.n + 1)
+    at_least, at_most = np.cumsum(counts[::-1])[::-1], np.cumsum(counts)
     for a in dec.A.members:
         ca = a.bit_count()
-        have = sum(1 for m in f.members if m.bit_count() >= ca)
+        have = int(at_least[ca])
         if have < ca:
             return False, {"minimal": list(elements_of(a)), "count": have}
     for x in dec.X.members:
         cx = x.bit_count()
-        have = sum(1 for m in f.members if m.bit_count() <= cx)
-        if have < f.n - cx:
-            return False, {"maximal": list(elements_of(x)), "count": have}
+        if at_most[cx] < f.n - cx:
+            return False, {"maximal": list(elements_of(x)), "count": int(at_most[cx])}
     return True, {"A_size": len(dec.A), "X_size": len(dec.X)}
 
 
@@ -506,20 +488,23 @@ def _check_l25(f: SetFamily, dec: Decomposition, nested):
     note="the witness set is required to contain the adjoined element i",
 )
 def _check_l26(f: SetFamily, dec: Decomposition, nested):
+    ms = np.array(f.members, dtype=np.int64)
+
+    def unreached(outside: np.ndarray, want: int) -> int:
+        # the elements i of want with outside == {i} for no member
+        single = outside[outside & (outside - 1) == 0]
+        return want & ~int(np.bitwise_or.reduce(single))
+
+    # X <= B+{i} with i in X iff X & ~B == {i}
     for b in dec.B.members:
-        for i in range(1, f.n + 1):
-            bit = 1 << (i - 1)
-            if b & bit:
-                continue
-            target = b | bit
-            if not any((m & target == m) and (m & bit) for m in f.members):
-                return False, {"B": list(elements_of(b)), "element": i}
+        lost = unreached(ms & ~b, f.full_mask & ~b)
+        if lost:
+            return False, {"B": list(elements_of(b)), "element": elements_of(lost)[0]}
+    # dually S >= C-{i} with i not in S iff C & ~S == {i}
     for c in dec.Y.members:
-        for i in elements_of(c):
-            bit = 1 << (i - 1)
-            rest = c ^ bit
-            if not any((m & rest == rest) and not (m & bit) for m in f.members):
-                return False, {"Y": list(elements_of(c)), "element": i}
+        lost = unreached(c & ~ms, c)
+        if lost:
+            return False, {"Y": list(elements_of(c)), "element": elements_of(lost)[0]}
     return True, {"B_size": len(dec.B), "Y_size": len(dec.Y)}
 
 
@@ -633,10 +618,10 @@ def verify_structure_invariants(f: SetFamily) -> StructureReport:
     whose hypotheses fail report n/a rather than pass, so reports stay
     auditable.
     """
-    sat = is_saturated(f, DIAMOND, mode="full")
+    sat, tables = _saturation(f, DIAMOND)
     if sat.verdict is not Verdict.SATURATED:
         return StructureReport(f, sat, True, False, None, None, ())
-    dec = decompose(f)
+    dec = _decomposition(f, tables)
     standing = 0 not in f and f.full_mask not in f
     # a saturated family is nonempty, so under the standing assumption its
     # minimal members are nonempty sets, as the peeling construction needs

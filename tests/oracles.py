@@ -185,6 +185,59 @@ def top_of_diamond_masks(f: SetFamily) -> set[int]:
     return out
 
 
+def middle_generators_brute(f: SetFamily) -> tuple[set[int], dict[int, tuple[int, int, int]]]:
+    """GB by definition, and the least diamond over each member of B.
+
+    B holds the maximal bottoms of diamonds over three members that lie in
+    no minimal member; GB the members that are a middle of a diamond over
+    some member of B.  The least diamond over b is the lexicographically
+    least (middle, middle, top) in canonical member order."""
+    bottoms = bottom_of_diamond_masks(f)
+    minimal = [m for m in f.members if not any(s != m and s & m == s for s in f.members)]
+    b_family = [
+        b for b in bottoms
+        if not any(c != b and b & c == b for c in bottoms) and not any(b & a == b for a in minimal)
+    ]
+    middles: set[int] = set()
+    least: dict[int, tuple[int, int, int]] = {}
+    for b in b_family:
+        for c, d, e in itertools.permutations(f.members, 3):
+            if diamond_quadruple((b, c, d, e)):
+                middles.update((c, d))
+                least.setdefault(b, (c, d, e))
+    return middles, least
+
+
+def l25_loop(f: SetFamily, minimal, maximal):
+    """L2.5 by counting members per minimal and maximal set: the first
+    failing ("minimal" | "maximal", set, count), or None."""
+    for a in minimal:
+        have = sum(1 for m in f.members if m.bit_count() >= a.bit_count())
+        if have < a.bit_count():
+            return "minimal", a, have
+    for x in maximal:
+        have = sum(1 for m in f.members if m.bit_count() <= x.bit_count())
+        if have < f.n - x.bit_count():
+            return "maximal", x, have
+    return None
+
+
+def l26_loop(f: SetFamily, bottoms, tops):
+    """L2.6 by scanning members per set and element: the first failing
+    ("B" | "Y", set, element), or None."""
+    for b in bottoms:
+        for i in range(1, f.n + 1):
+            bit = 1 << (i - 1)
+            if not b & bit and not any(m & (b | bit) == m and m & bit for m in f.members):
+                return "B", b, i
+    for c in tops:
+        for i in range(1, f.n + 1):
+            bit = 1 << (i - 1)
+            if c & bit and not any(m & c == c ^ bit and not m & bit for m in f.members):
+                return "Y", c, i
+    return None
+
+
 def all_labeled_posets(k: int) -> list[PatternPoset]:
     """Every partial order on k labeled points, by filtering all
     irreflexive relation choices for antisymmetry and transitivity."""

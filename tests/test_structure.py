@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from posetsat.detect import DIAMOND, find_diamond
 from posetsat.families import SetFamily, complement_family, elements_of, maximal_sets, minimal_sets
 from posetsat import structure
+from posetsat.posets import make_chain
 from posetsat.saturate import Verdict, chain_family, empty_plus_singletons, greedy_saturate
 from posetsat.structure import (
     NotDiamondFreeError,
@@ -110,6 +113,41 @@ def test_decomposition_invariants(f):
         assert all(m in f for m in (c, d, e))
     assert set(dec.b_witnesses) == set(dec.B.members)
     assert set(dec.y_witnesses) == set(dec.Y.members)
+
+
+@st.composite
+def completions(draw):
+    """Greedy diamond completions over [4] or [5] of up to three sets (too
+    few for a diamond): unlike most free families, they often have B, GB,
+    Y and HY nonempty."""
+    n = draw(st.integers(4, 5))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3, unique=True))
+    return greedy_saturate(SetFamily(n, tuple(masks)), DIAMOND, order="shuffle", seed=draw(st.integers(0, 99)))
+
+
+def check_middle_generators(f):
+    dec = decompose(f)
+    middles, least = oracles.middle_generators_brute(f)
+    assert set(dec.GB.members) == middles
+    assert dec.b_witnesses == least
+    full = f.full_mask
+    middles, least = oracles.middle_generators_brute(complement_family(f))
+    assert set(dec.HY.members) == {full ^ m for m in middles}
+    assert dec.y_witnesses == {
+        full ^ b: (full ^ c, full ^ d, full ^ e) for b, (c, d, e) in least.items()
+    }
+
+
+@given(free_families())
+@settings(max_examples=60, deadline=None)
+def test_middle_generators_match_the_definition(f):
+    check_middle_generators(f)
+
+
+@given(completions())
+@settings(max_examples=60, deadline=None)
+def test_middle_generators_of_completions_match_the_definition(f):
+    check_middle_generators(f)
 
 
 @given(free_families())
@@ -254,6 +292,7 @@ def test_verify_middle_levels_family():
     assert by_id["L2.4"] == "n/a" and by_id["C3.7"] == "n/a"
     # size 6 > 3n/2 = 4.5 and > n = 3: hypotheses of the size-gated checks fail
     assert by_id["P4.1"] == "n/a" and by_id["P4.3"] == "n/a"
+    assert rep.checks[2].evidence == {"overlap": [], "union_size": 3, "chain2_verdict": "SATURATED"}
     notes = {c.id: c.note for c in rep.checks}
     # fixed notes ride on verdicts; an n/a check names the hypothesis that failed
     assert notes["L2.5"].startswith("dual clause") and notes["L2.6"].startswith("the witness set")
@@ -290,6 +329,83 @@ def test_p43_fail_branch():
     both = SetFamily.of(3, [(1,)])
     check = run_lemma("P4.3", dataclasses.replace(dec, GB=both, HY=both))
     assert (check.status, check.evidence) == ("fail", {"common": [[1]]})
+
+
+def test_chain2_verdict_matches_the_oracle():
+    chain2 = make_chain(2)
+    families = [SetFamily(3, tuple(m for m in range(8) if bits >> m & 1)) for bits in range(256)]
+    rng = random.Random(7)
+    for n in (4, 5, 6):
+        families += [SetFamily(n, tuple(rng.sample(range(1 << n), rng.randint(0, 8)))) for _ in range(20)]
+        # each layer of the cube is a maximal antichain
+        families += [SetFamily(n, tuple(m for m in range(1 << n) if m.bit_count() == k)) for k in range(n + 1)]
+    seen = set()
+    for g in families:
+        verdict = structure._chain2_verdict(g)
+        assert verdict.value == oracles.saturation_verdict(g, chain2), g
+        seen.add(verdict)
+    assert seen == set(Verdict)
+
+
+# First failing member, element and count, as the per-member loops gave them.
+@pytest.mark.parametrize(
+    "cid, n, sets, parts, evidence",
+    [
+        ("L2.5", 5, [(1,), (2, 3, 4), (2, 3, 5)], {}, {"minimal": [2, 3, 4], "count": 2}),
+        ("L2.5", 5, [(1,), (2,)], {}, {"maximal": [1], "count": 2}),
+        ("L2.5", 5, [(1,), (2,)], {"X": [(2,), (1, 2, 3)]}, {"maximal": [2], "count": 2}),
+        ("L2.6", 5, [(1,), (2,), (3,), (4, 5)], {"B": [(5,), (1, 2)]}, {"B": [1, 2], "element": 4}),
+        (
+            "L2.6", 5, [(2, 3, 4, 5), (1, 3, 4, 5), (1, 2, 4, 5), (1, 2, 3)],
+            {"B": [(1, 2, 3, 4)], "Y": [(1, 2, 3), (3, 4, 5)]}, {"Y": [3, 4, 5], "element": 4},
+        ),
+    ],
+)
+def test_l25_l26_fail_branches(cid, n, sets, parts, evidence):
+    dec = decompose(SetFamily.of(n, sets))
+    dec = dataclasses.replace(dec, **{k: SetFamily.of(n, v) for k, v in parts.items()})
+    check = run_lemma(cid, dec)
+    assert (check.status, check.evidence) == ("fail", evidence)
+
+
+@given(free_families(max_n=5, max_size=10), st.data())
+@settings(max_examples=100, deadline=None)
+def test_l25_l26_match_the_loops(f, data):
+    dec = decompose(f)
+    parts = {
+        k: SetFamily(f.n, tuple(data.draw(st.lists(st.integers(0, f.full_mask), max_size=4))))
+        for k in ("A", "X", "B", "Y")
+    }
+    dec = dataclasses.replace(dec, **parts)
+    for cid, loop, first, second in (
+        ("L2.5", oracles.l25_loop, "A", "X"),
+        ("L2.6", oracles.l26_loop, "B", "Y"),
+    ):
+        check = run_lemma(cid, dec)
+        failure = loop(f, parts[first].members, parts[second].members)
+        assert (check.status == "fail") == (failure is not None)
+        if failure is not None:
+            kind, mask, value = failure
+            assert check.evidence[kind] == list(elements_of(mask))
+            assert check.evidence["count" if cid == "L2.5" else "element"] == value
+
+
+# SHA-256 of the sorted-key JSON of verify_structure_invariants' report on
+# greedy shuffle completions; the n = 11 one is the 391-member wide family.
+@pytest.mark.parametrize(
+    "n, seed, digest",
+    [
+        (11, 1, "2edf6f8cda67c0528918dca4a2e3aafce33da8dd094640a95808d051b89457e9"),
+        (6, 0, "685f3e6c21ee7ec474b5b6d9c52279fc94d9e1129cf5e83bc10affc8717d2b8e"),
+        (7, 2, "8b73e319bce98e511a1a39e73021cfbc04245085ed4e0ea5c71912bf620a545e"),
+    ],
+)
+def test_report_json_is_pinned(n, seed, digest):
+    g = greedy_saturate(SetFamily(n), DIAMOND, order="shuffle", seed=seed)
+    rep = verify_structure_invariants(g)
+    blob = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert rep.decomposition == decompose(g)
 
 
 def test_verify_vacuous_on_unsaturated():
