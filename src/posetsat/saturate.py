@@ -271,16 +271,16 @@ _PAIR_BLOCK = 1 << 20
 
 
 def pair_generators(
-    members: tuple[int, ...], suptab: np.ndarray, subtab: np.ndarray | None = None
+    members: tuple[int, ...], suptab: np.ndarray, subtab: np.ndarray
 ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
     """Generators of the incomparable member pairs (i, j), i < j.
 
     Returns (bottoms, tops): bottoms maps c & d to the lexicographically
     least pair whose members c, d have a common top (``suptab[c | d]``),
     tops maps c | d to the least pair with a common bottom
-    (``subtab[c & d]``; empty without subtab).  Both are in canonical key
-    order.  Pairs are taken in row blocks in lexicographic order, so the
-    first pair seen per key is the least.
+    (``subtab[c & d]``).  Both are in canonical key order.  Pairs are
+    taken in row blocks in lexicographic order, so the first pair seen
+    per key is the least.
     """
     bottoms: dict[int, tuple[int, int]] = {}
     tops: dict[int, tuple[int, int]] = {}
@@ -297,8 +297,7 @@ def pair_generators(
         inter, union = inter[i, j], rows[i, 0] | arr[j]
         i += r0
         _keep_first(bottoms, inter, i, j, suptab[union])
-        if subtab is not None:
-            _keep_first(tops, union, i, j, subtab[inter])
+        _keep_first(tops, union, i, j, subtab[inter])
     return _canonical(bottoms), _canonical(tops)
 
 
@@ -322,7 +321,8 @@ class _DiamondScanner:
     The family must be diamond-free.  Bottom and top roles are table
     lookups against the intersections/unions of incomparable member
     pairs that already have a common top/bottom; the middle role scans
-    members once using subset/superset tables.
+    members once using subset/superset tables.  ``structure`` builds the
+    decomposition of a diamond-free family from the same tables.
     """
 
     def __init__(self, f: SetFamily):

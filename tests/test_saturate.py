@@ -408,7 +408,6 @@ def test_pair_generators_match_the_pair_loop(f):
     got = pair_generators(ms, suptab, subtab)
     assert got == expected
     assert [list(g) for g in got] == [sorted(g, key=member_key) for g in expected]
-    assert pair_generators(ms, suptab) == (expected[0], {})
     # three pairs per block put block boundaries inside every row
     with mock.patch.object(saturate, "_PAIR_BLOCK", 3):
         assert pair_generators(ms, suptab, subtab) == expected
