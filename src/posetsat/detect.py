@@ -15,13 +15,14 @@ their incomparable pairs with a common top, in blocks of bounded size.
 Both return identical witnesses on the diamond because they visit
 (bottom, middle, middle, top) in the same order.
 
-The through-test ``creates_copy`` (does adding a set s create a copy
-through s?) needs no witness, so it searches differently: s is placed
-first, on one point per automorphism orbit of the pattern only, and
-every later point takes its candidates from the members above, below or
-incomparable to s, as in Ullmann's and VF2's candidate filtering.
-Witnesses through s come from ``find_induced_using``, which keeps the
-linear-extension order and so the lexicographically least witness.
+Adding a set s creates a copy through s when some copy uses s.  One
+search, ``_through``, finds these: it splits the members once into
+those above, below and incomparable to s, as in Ullmann's and VF2's
+candidate filtering, puts s on one pattern point and draws every other
+point's candidates from the matching list.  ``creates_copy`` needs no
+witness, so it puts s first, on one point per automorphism orbit only;
+``find_induced_using`` and the certificates pin s at point 0, 1, ... of
+the linear extension in turn, for the lexicographically least witness.
 The diamond's through-test ``creates_diamond`` is a few vector passes
 per role of s over a member array; greedy completion and the scans
 above the table limit share it.  For the exact search at n <= 6,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,10 +48,12 @@ from .posets import PatternPoset, linear_extension, make_diamond
 
 DIAMOND = make_diamond()
 
-# How an earlier slot's point relates to the current one.
+# How an earlier slot's point relates to the current one; as a pool, how
+# the added set s relates to the members in it.
 _BELOW = 0  # strictly below
 _ABOVE = 1  # strictly above
 _INCOMP = 2
+_ANCHOR = 3  # the pool holding s alone
 
 
 @dataclass(frozen=True)
@@ -136,62 +140,54 @@ def first_invalid_row(
 class _Plan:
     """Search order and per-slot constraints for one pattern.
 
-    Without an anchor the order is the pattern's linear extension.  An
-    anchored plan puts the anchor point first and then, greedily, the
-    point with the most comparabilities to the points already placed
-    (ties by point index), so comparisons prune as early as possible.
-    Its later slots are not checked against the anchor: ``pools[i]`` is
-    the anchor's check kind for slot i + 1, which the caller answers once
-    per search by drawing that slot's candidates from the matching member
-    list, and ``need`` counts the slots of each kind, so a list that is
-    too short rules the anchor out before any search.
+    ``pick`` gathers each slot's pool of candidates: pool 0, every
+    member, without an anchor; with one, s alone for the anchor and the
+    members above, below or incomparable to s for the other slots, which
+    are not checked against the anchor.  ``need`` counts the slots per
+    pool, so a pool that is too short rules the plan out at once.
     """
 
-    __slots__ = ("size", "order", "slot_of_point", "checks", "pools", "need")
+    __slots__ = ("size", "order", "checks", "pick", "need")
 
-    def __init__(self, p: PatternPoset, anchor: int | None = None):
+    def __init__(self, p: PatternPoset, order: tuple[int, ...], anchor: int | None = None):
         self.size = p.size
-        self.order = linear_extension(p) if anchor is None else _anchored_order(p, anchor)
-        self.slot_of_point = {pt: slot for slot, pt in enumerate(self.order)}
-        first = 0 if anchor is None else 1
+        self.order = order
         self.checks = tuple(
-            tuple((earlier, _kind(p, self.order[earlier], pt)) for earlier in range(first, slot))
-            for slot, pt in enumerate(self.order)
+            tuple((e, _kind(p, order[e], pt)) for e in range(slot) if anchor not in (order[e], pt))
+            for slot, pt in enumerate(order)
         )
-        self.pools = tuple(_kind(p, anchor, pt) for pt in self.order[1:]) if first else ()
-        self.need = tuple((kind, self.pools.count(kind)) for kind in set(self.pools))
+        kinds = [0 if anchor is None else _ANCHOR if pt == anchor else _kind(p, anchor, pt) for pt in order]
+        # itemgetter returns a bare item, not a 1-tuple, for one slot
+        self.pick = itemgetter(*kinds) if len(kinds) > 1 else lambda pools: (pools[kinds[0]],)
+        self.need = tuple((kind, kinds.count(kind)) for kind in (_BELOW, _ABOVE, _INCOMP) if kind in kinds)
 
 
 def _kind(p: PatternPoset, earlier: int, pt: int) -> int:
-    if p.leq[earlier][pt]:
-        return _BELOW
-    if p.leq[pt][earlier]:
-        return _ABOVE
-    return _INCOMP
+    return _BELOW if p.leq[earlier][pt] else _ABOVE if p.leq[pt][earlier] else _INCOMP
 
 
 def _anchored_order(p: PatternPoset, anchor: int) -> tuple[int, ...]:
-    """The anchor, then repeatedly the point comparable to the most placed ones."""
+    """The anchor, then repeatedly the point comparable to the most placed
+    ones (ties by point index), so comparisons prune as early as possible."""
     order = [anchor]
     rest = [pt for pt in range(p.size) if pt != anchor]
     while rest:
-        pt = max(rest, key=lambda b: (sum(_kind(p, a, b) != _INCOMP for a in order), -b))
-        order.append(pt)
-        rest.remove(pt)
+        order.append(max(rest, key=lambda b: (sum(_kind(p, a, b) != _INCOMP for a in order), -b)))
+        rest.remove(order[-1])
     return tuple(order)
 
 
 @lru_cache(maxsize=None)
 def _plan(p: PatternPoset) -> _Plan:
-    return _Plan(p)
+    return _Plan(p, linear_extension(p))
 
 
-def _search(members: tuple[int, ...], plan: _Plan, candidates) -> tuple[int, ...] | None:
+def _search(members: tuple[int, ...], plan: _Plan, pools) -> tuple[int, ...] | None:
     """Backtracking core on a raw member tuple.
 
-    ``candidates[slot]`` lists the member indices the slot (position in
-    the search order) may take, in the order they are tried.  Returns
-    the point-indexed mapping tuple, or None.
+    ``pools`` are lists of member indices; each slot (position in the
+    search order) tries the members of its pool, as ``plan.pick`` says,
+    in order.  Returns the point-indexed mapping tuple, or None.
     """
     k = plan.size
     if len(members) < k:
@@ -199,6 +195,7 @@ def _search(members: tuple[int, ...], plan: _Plan, candidates) -> tuple[int, ...
     image = [-1] * k
     used = [False] * len(members)
     checks = plan.checks
+    candidates = plan.pick(pools)
 
     def rec(slot: int) -> bool:
         if slot == k:
@@ -234,11 +231,34 @@ def _search(members: tuple[int, ...], plan: _Plan, candidates) -> tuple[int, ...
     return tuple(mapping)
 
 
-def _pinned(nm: int, plan: _Plan, point: int, idx: int) -> list:
-    """Candidates that force ``point`` onto member ``idx``, all others free."""
-    candidates = [range(nm)] * plan.size
-    candidates[plan.slot_of_point[point]] = (idx,)
-    return candidates
+def _through(members: tuple[int, ...], s: int, plans) -> tuple[int, ...] | None:
+    """Image masks, point by point, of the first copy through s in
+    members + {s} that the plans find, tried in turn; None if none has one.
+
+    ``members`` must not contain s.  They are split once into the pools
+    above, below and incomparable to s, each in the given order, so a
+    plan finds the least copy along its search order: a member left out
+    of a pool is in no copy with s at that point.
+    """
+    pools = ([], [], [], (len(members),))  # by kind; _ANCHOR: s alone
+    for i, x in enumerate(members):
+        inter = x & s
+        pools[_BELOW if inter == s else _ABOVE if inter == x else _INCOMP].append(i)
+    extended = members + (s,)
+    for plan in plans:
+        if any(len(pools[kind]) < need for kind, need in plan.need):
+            continue
+        res = _search(extended, plan, pools)
+        if res is not None:
+            return tuple(extended[i] for i in res)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _pinned_plans(p: PatternPoset) -> tuple[_Plan, ...]:
+    """Per point, the linear-extension plan anchored at that point."""
+    order = linear_extension(p)
+    return tuple(_Plan(p, order, x) for x in range(p.size))
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +271,7 @@ def _orbit_representatives(p: PatternPoset) -> tuple[int, ...]:
     """
     k = p.size
     downsets = tuple(sum(1 << b for b in range(k) if p.leq[b][a]) for a in range(k))
-    plan = _plan(p)
+    plans = _pinned_plans(p)
     reps: list[int] = []
     seen: set[int] = set()
     for x in range(k):
@@ -259,40 +279,35 @@ def _orbit_representatives(p: PatternPoset) -> tuple[int, ...]:
             continue
         reps.append(x)
         seen.update(
-            y for y in range(x, k) if _search(downsets, plan, _pinned(k, plan, x, y)) is not None
+            y for y in range(x, k)
+            if _through(downsets[:y] + downsets[y + 1:], downsets[y], plans[x:x + 1]) is not None
         )
     return tuple(reps)
 
 
 @lru_cache(maxsize=None)
 def _anchored_plans(p: PatternPoset) -> tuple[_Plan, ...]:
-    return tuple(_Plan(p, anchor=x) for x in _orbit_representatives(p))
+    return tuple(_Plan(p, _anchored_order(p, x), x) for x in _orbit_representatives(p))
 
 
 def find_induced(f: SetFamily, p: PatternPoset) -> Embedding | None:
     """First induced copy of p inside f, or None if f is p-free."""
-    plan = _plan(p)
-    res = _search(f.members, plan, [range(len(f.members))] * plan.size)
+    res = _search(f.members, _plan(p), (range(len(f.members)),))
     return Embedding(f, p, res) if res is not None else None
 
 
 def find_induced_using(f: SetFamily, s: int, p: PatternPoset) -> Embedding | None:
     """First induced copy of p in f + {s} whose image includes s.
 
-    Copies avoiding s are ignored, so None means exactly that every copy
-    in the extended family avoids the added set.
+    s goes on the least pattern point that can take it, and the other
+    points take the lexicographically least members along the linear
+    extension.  Copies avoiding s are ignored, so None means exactly that
+    every copy in the extended family avoids the added set.
     """
     if s in f:
         raise ValueError(f"set {sorted(elements_of(s))} is already a member")
-    extended = f.add(s)
-    s_idx = extended.members.index(s)
-    plan = _plan(p)
-    nm = len(extended.members)
-    for point in range(p.size):
-        res = _search(extended.members, plan, _pinned(nm, plan, point, s_idx))
-        if res is not None:
-            return Embedding(extended, p, res)
-    return None
+    images, extended = _through(f.members, s, _pinned_plans(p)), f.add(s)
+    return None if images is None else Embedding(extended, p, tuple(map(extended.members.index, images)))
 
 
 # Entries per block of the pairwise matrices in find_diamond; a block and
@@ -396,18 +411,7 @@ def creates_copy(members: tuple[int, ...], m: int, p: PatternPoset) -> bool:
     """
     if p is DIAMOND or p == DIAMOND:
         return creates_diamond(members, m)
-    pools: tuple[list[int], ...] = ([], [], [])  # by the anchor's check kind
-    for i, x in enumerate(members):
-        inter = x & m
-        pools[_BELOW if inter == m else _ABOVE if inter == x else _INCOMP].append(i)
-    extended = members + (m,)
-    anchor = (len(members),)
-    for plan in _anchored_plans(p):
-        if any(len(pools[kind]) < need for kind, need in plan.need):
-            continue
-        if _search(extended, plan, (anchor, *(pools[kind] for kind in plan.pools))) is not None:
-            return True
-    return False
+    return _through(members, m, _anchored_plans(p)) is not None
 
 
 def creates_diamond(members, m: int) -> bool:

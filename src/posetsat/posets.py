@@ -16,7 +16,6 @@ patterns are addressable by keyword: ``chain:k``, ``diamond``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 MAX_PATTERN = 16
 
@@ -192,28 +191,3 @@ def linear_extension(p: PatternPoset) -> tuple[int, ...]:
         else:  # pragma: no cover - unreachable on valid posets
             raise ValueError("relation has a cycle; not a poset")
     return tuple(placed)
-
-
-def is_isomorphic(p: PatternPoset, q: PatternPoset, max_size: int = 10) -> bool:
-    """Relabeling check by profile-pruned permutation search (small sizes)."""
-    if p.size != q.size:
-        return False
-    k = p.size
-    if k > max_size:
-        raise ValueError(f"isomorphism check limited to size {max_size}")
-
-    def profile(poset, a):
-        down = sum(poset.leq[b][a] for b in range(k))
-        up = sum(poset.leq[a][b] for b in range(k))
-        return (down, up)
-
-    pp = [profile(p, a) for a in range(k)]
-    qp = [profile(q, a) for a in range(k)]
-    if sorted(pp) != sorted(qp):
-        return False
-    for perm in permutations(range(k)):
-        if any(pp[a] != qp[perm[a]] for a in range(k)):
-            continue
-        if all(p.leq[a][b] == q.leq[perm[a]][perm[b]] for a in range(k) for b in range(k)):
-            return True
-    return False

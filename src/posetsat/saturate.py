@@ -24,7 +24,8 @@ member array, grown by appending as sets are accepted.
 
 Witnesses come in batches too, as rows of image masks: the diamond
 scanner finds every row of a batch in a few vector passes, and other
-patterns fill theirs from ``detect.find_induced_using``.  A full
+patterns take each row straight from the through-search behind
+``detect.find_induced_using``, with no extended family per mask.  A full
 certificate keeps only those rows (:class:`Certificate`) and builds the
 :class:`Embedding` into f + {s} of an entry when it is read; the
 sample's few embeddings are built from rows the same way.  Before a
@@ -48,10 +49,11 @@ import numpy as np
 from .detect import (
     DIAMOND,
     Embedding,
+    _pinned_plans,
+    _through,
     creates_copy,
     find_diamond,
     find_induced,
-    find_induced_using,
     first_invalid_row,
     validate_embedding,
 )
@@ -327,7 +329,6 @@ class _DiamondScanner:
 
     def __init__(self, f: SetFamily):
         ms = f.members
-        self.members = ms
         self.subtab = subset_table(f.n, ms)
         self.suptab = superset_table(f.n, ms)
         self.member_array = np.array(ms, dtype=np.int64)
@@ -344,16 +345,14 @@ class _DiamondScanner:
         """Position of the first mask in batch whose addition creates no
         diamond, or None."""
         pos = np.flatnonzero(~(self.bottomable[batch] | self.topable[batch]))
-        s = batch[pos]
-        subtab, suptab = self.subtab, self.suptab
-        open_ = np.ones(len(s), dtype=bool)
-        for d in self.members:
-            if not open_.any():
-                return None
-            ds = s & d
-            open_ &= ~((ds != d) & (ds != s) & subtab[ds] & suptab[s | d])
-        rest = pos[open_]
+        rest = pos[_first(batch[pos], self.member_array, self._middle) < 0]
         return int(rest[0]) if len(rest) else None
+
+    def _middle(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Whether x and member d are the middles of a diamond in f + {x}:
+        incomparable, with a member inside x & d and one containing x | d."""
+        xd = x & d
+        return (xd != d) & (xd != x) & self.subtab[xd] & self.suptab[x | d]
 
     def witnesses(self, batch: np.ndarray) -> np.ndarray:
         """(len(batch), 4) int64 array: per mask s, the (bottom, middle,
@@ -364,9 +363,9 @@ class _DiamondScanner:
         containing it and the first member containing that pair's union;
         as a top, the first top generator inside it and the first member
         inside the pair's intersection; as a middle, the first member d
-        that passes first_failure's test, then the first members inside
-        d & s and containing d | s.  Each "first" is one _first search
-        over the rows of that role.
+        that passes _middle, then the first members inside d & s and
+        containing d | s.  Each "first" is one _first search over the
+        rows of that role.
         """
         ms = self.member_array
         out = np.full((len(batch), 4), -1, dtype=np.int64)
@@ -383,14 +382,8 @@ class _DiamondScanner:
         inter = ms[i] & ms[j]
         b = _first(inter, ms, lambda v, m: m & v == m)
         out[top] = np.stack([ms[b], ms[i], ms[j], s], axis=1)
-        subtab, suptab = self.subtab, self.suptab
-
-        def passes(x, d):
-            xd = x & d
-            return (xd != d) & (xd != x) & subtab[xd] & suptab[x | d]
-
         s = batch[middle]
-        d = _first(s, ms, passes)
+        d = _first(s, ms, self._middle)
         found = d >= 0
         s, d = s[found], ms[d[found]]
         inter, union = s & d, s | d
@@ -441,12 +434,10 @@ def _search_witnesses(f: SetFamily, p: PatternPoset, batch: np.ndarray) -> np.nd
     Raises InternalCheckError for a mask with no copy through it: at
     n = 64 every uint64 value is a mask, so no row value can mark it.
     """
-    rows = []
-    for s in batch.tolist():
-        emb = find_induced_using(f, s, p)
-        if emb is None:
-            raise InternalCheckError(f"no witness found through {elements_of(s)}")
-        rows.append(emb.image_masks())
+    plans = _pinned_plans(p)
+    rows = [_through(f.members, s, plans) for s in batch.tolist()]
+    if None in rows:
+        raise InternalCheckError(f"no witness found through {elements_of(int(batch[rows.index(None)]))}")
     return np.array(rows, dtype=batch.dtype).reshape(len(batch), p.size)
 
 
@@ -476,6 +467,8 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
         raise ValueError(f"mode must be 'full' or 'spot', got {mode!r}")
     if mode == "full" and f.n > MAX_FULL_N:
         raise ValueError(f"full mode needs n <= {MAX_FULL_N}, got {f.n}")
+    if mode == "spot" and spot < 1:
+        raise ValueError(f"spot mode needs a sample of at least 1, got {spot}")
 
     inner = find_diamond(f) if p == DIAMOND else find_induced(f, p)
     if inner is not None:

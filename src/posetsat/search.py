@@ -239,6 +239,8 @@ def _revalidate(n: int, p: PatternPoset, winners: list[tuple[int, ...]]) -> list
 
 def _default_cap(n: int, p: PatternPoset, size_cap: int | None) -> int:
     if size_cap is not None:
+        if size_cap < 0:
+            raise ValueError(f"size cap must be at least 0, got {size_cap}")
         return size_cap
     if p == DIAMOND:
         return n + 2

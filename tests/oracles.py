@@ -68,6 +68,40 @@ def has_induced_using(f: SetFamily, s: int, p: PatternPoset) -> bool:
     return False
 
 
+def least_witness_using(f: SetFamily, s: int, p: PatternPoset):
+    """The witness rule of find_induced_using by brute force.
+
+    s goes on the least pattern point that can take it; the copy is the
+    injective map into f + {s}, as member indices, that is least when
+    read along the linear extension (repeatedly the least unplaced point
+    whose strict down-set is placed).  Returns the point-indexed tuple,
+    or None when no copy uses s.
+    """
+    members = f.add(s).members
+    s_idx = members.index(s)
+    k = p.size
+    order: list[int] = []
+    while len(order) < k:
+        order.append(min(
+            a for a in range(k)
+            if a not in order and all(b in order for b in range(k) if b != a and p.leq[b][a])
+        ))
+    incl = inclusion_matrix(members)
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    for x in range(k):
+        at = order.index(x)
+        # permutations come in lexicographic order of the slot tuple
+        for combo in itertools.permutations(range(len(members)), k):
+            if combo[at] != s_idx:
+                continue
+            mapping = [0] * k
+            for slot, pt in enumerate(order):
+                mapping[pt] = combo[slot]
+            if all(p.leq[a][b] == incl[mapping[a]][mapping[b]] for a, b in pairs):
+                return tuple(mapping)
+    return None
+
+
 def saturation_verdict(f: SetFamily, p: PatternPoset) -> str:
     """Definitional verdict: freeness, then one full missing-set pass.
 

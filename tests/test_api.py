@@ -41,7 +41,6 @@ PUBLIC = [
     "greedy_saturate",
     "hasse_dot",
     "is_free",
-    "is_isomorphic",
     "is_saturated",
     "make_antichain",
     "make_chain",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 from posetsat import cli, saturate, structure
 from posetsat.detect import DIAMOND
 from posetsat.families import SetFamily, serialize_family
-from posetsat.saturate import chain_family, greedy_saturate
+from posetsat.posets import pattern_from_spec
+from posetsat.saturate import chain_family, greedy_saturate, q3_construction
 
 SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
 
@@ -103,6 +105,11 @@ def test_check_full_mode_above_the_cap_is_a_usage_error(tmp_path, capsys):
     big = write(tmp_path, "big", chain_family(25))
     code, out, err = run(capsys, "check", "--family", big, "--pattern", "diamond")
     assert code == 64 and out == "" and "full mode" in err
+
+
+def test_satstar_negative_size_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "satstar", "--n", "3", "--pattern", "diamond", "--size-cap", "-3")
+    assert code == 64 and out == "" and "size cap" in err
 
 
 @pytest.mark.parametrize(
@@ -256,3 +263,73 @@ def test_catalog_report_validates(capsys):
         ("empty+singletons", True, 5, "SATURATED"),
         ("full+cosingletons", True, 5, "SATURATED"),
     ]
+
+
+def golden_family(name, p):
+    """The families of the check goldens: greedy completions of the
+    empty family, one of them less its last member, and the Q3
+    construction."""
+    if name.startswith("q3c"):
+        return q3_construction(int(name[3:]))
+    n, order, seed = {"greedy4": (4, "canonical", 0), "greedy5": (5, "canonical", 0),
+                      "greedy5r": (5, "reverse", 0), "greedy5s": (5, "shuffle", 3),
+                      "greedy5cut": (5, "canonical", 0)}[name]
+    g = greedy_saturate(SetFamily(n), p, order=order, seed=seed)
+    return g.without(g.members[-1]) if name == "greedy5cut" else g
+
+
+# sha256 prefixes over the certificate rows of is_saturated(...,
+# certificate=True) and the exit codes and report JSON of `check`
+# with --certificate, in full mode and in mode spot:7, with the verdict
+CHECK_DIGESTS = {
+    ("v", "greedy4"): "f3deb6ee4db996ee",  # SATURATED
+    ("v", "greedy5"): "9bbee72fc15df220",  # SATURATED
+    ("v", "greedy5r"): "1a5a639090879872",  # SATURATED
+    ("v", "greedy5s"): "76636ea81ec3748f",  # SATURATED
+    ("v", "greedy5cut"): "b94e312db5e80937",  # FREE_NOT_SATURATED
+    ("v", "q3c4"): "8ad6708f9ab98ce9",  # NOT_FREE
+    ("v", "q3c5"): "09dd4015d24be86d",  # NOT_FREE
+    ("chain:3", "greedy4"): "1986900d3ddc177a",  # SATURATED
+    ("chain:3", "greedy5"): "410b07515c0906b2",  # SATURATED
+    ("chain:3", "greedy5r"): "0fd2083492b64dc7",  # SATURATED
+    ("chain:3", "greedy5s"): "9cc0a891ce353e91",  # SATURATED
+    ("chain:3", "greedy5cut"): "cc53d7747ccd2599",  # FREE_NOT_SATURATED
+    ("chain:3", "q3c4"): "628262012c1a6091",  # NOT_FREE
+    ("chain:3", "q3c5"): "85c1299a514c6410",  # NOT_FREE
+    ("qk:3", "greedy4"): "54f9eca68b348f2b",  # SATURATED
+    ("qk:3", "greedy5"): "89863cc2e6a9224f",  # SATURATED
+    ("qk:3", "greedy5r"): "0a4839d5582d1874",  # SATURATED
+    ("qk:3", "greedy5s"): "b2a5744ca16b5a8a",  # SATURATED
+    ("qk:3", "greedy5cut"): "c53ec7a4abc2ea63",  # FREE_NOT_SATURATED
+    ("qk:3", "q3c4"): "a5233113a16b15af",  # SATURATED
+    ("qk:3", "q3c5"): "adb6e8ac87c4eba8",  # SATURATED
+    ("lambda", "greedy4"): "738a00896e849b81",  # SATURATED
+    ("lambda", "greedy5"): "bc9e5265040c5f2c",  # SATURATED
+    ("lambda", "greedy5r"): "9796a25b30549dfb",  # SATURATED
+    ("lambda", "greedy5s"): "98b741ae5401cc04",  # SATURATED
+    ("lambda", "greedy5cut"): "ebefc2578fb37993",  # FREE_NOT_SATURATED
+    ("lambda", "q3c4"): "5c49a1329b185807",  # NOT_FREE
+    ("lambda", "q3c5"): "c3498fc690cb8164",  # NOT_FREE
+    ("antichain:3", "greedy4"): "51d64d4716d7aa8e",  # SATURATED
+    ("antichain:3", "greedy5"): "c646988c316d656d",  # SATURATED
+    ("antichain:3", "greedy5r"): "a5c208747ad98f1b",  # SATURATED
+    ("antichain:3", "greedy5s"): "13328b0bcfc6eea9",  # SATURATED
+    ("antichain:3", "greedy5cut"): "2065a378fc4ed925",  # FREE_NOT_SATURATED
+    ("antichain:3", "q3c4"): "6ce8806eec901573",  # NOT_FREE
+    ("antichain:3", "q3c5"): "1ee2996b02719a72",  # NOT_FREE
+}
+
+
+@pytest.mark.parametrize("spec, name", sorted(CHECK_DIGESTS))
+def test_check_outputs_are_pinned(tmp_path, capsys, spec, name):
+    p = pattern_from_spec(spec)
+    f = golden_family(name, p)
+    digest = hashlib.sha256()
+    cert = saturate.is_saturated(f, p, certificate=True).certificate
+    digest.update(b"none" if cert is None else cert.images.tobytes())
+    path = write(tmp_path, "f", f)
+    for extra in (["--certificate"], [], ["--mode", "spot:7"]):
+        code, out, _ = run(capsys, "check", "--family", path, "--pattern", spec, *extra)
+        digest.update(repr(code).encode())
+        digest.update(json.dumps(json.loads(out)["report"], sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == CHECK_DIGESTS[spec, name]

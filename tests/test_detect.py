@@ -208,6 +208,18 @@ def test_using_detector_matches_filtered_oracle(f):
             assert validate_embedding(got) is None
 
 
+@pytest.mark.parametrize("p", PATTERNS)
+@given(f=families(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_find_induced_using_follows_the_witness_rule(p, f, data):
+    missing = [m for m in range(1 << f.n) if m not in f]
+    if not missing:
+        return
+    s = data.draw(st.sampled_from(missing))
+    got = find_induced_using(f, s, p)
+    assert (None if got is None else got.mapping) == oracles.least_witness_using(f, s, p)
+
+
 @given(families(), st.integers(0, len(PATTERNS) - 1), st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_monotonicity_under_superfamilies(f, pi, rnd):

@@ -6,7 +6,6 @@ from posetsat.posets import (
     PatternFormatError,
     PatternPoset,
     dual,
-    is_isomorphic,
     linear_extension,
     make_antichain,
     make_chain,
@@ -90,11 +89,11 @@ def test_dual_involution():
 
 
 def test_chain_self_dual_up_to_iso():
-    assert is_isomorphic(dual(make_chain(3)), make_chain(3))
+    assert oracles.pattern_canon(dual(make_chain(3))) == oracles.pattern_canon(make_chain(3))
 
 
 def test_diamond_self_dual_up_to_iso():
-    assert is_isomorphic(dual(make_diamond()), make_diamond())
+    assert oracles.pattern_canon(dual(make_diamond())) == oracles.pattern_canon(make_diamond())
 
 
 def test_constructors_validate_ok():

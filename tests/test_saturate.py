@@ -128,6 +128,13 @@ def test_spot_mode_over_64_elements():
     assert bad.missing not in lone and not oracles.diamond_through(lone, bad.missing)
 
 
+@pytest.mark.parametrize("spot", [0, -5])
+def test_spot_mode_needs_a_positive_sample(spot):
+    # {} over [4] is not saturated; an empty sample must not say it is
+    with pytest.raises(ValueError, match="at least 1"):
+        is_saturated(SetFamily(4, (0,)), D, mode="spot", spot=spot)
+
+
 @pytest.mark.parametrize(
     "mode, certificate", [("full", False), ("spot", False), ("full", True)], ids=["full", "spot", "certificate"]
 )
