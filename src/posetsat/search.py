@@ -11,12 +11,14 @@ are kept.  Deleting the last member of a canonical family leaves a
 canonical family, so extending canonical representatives reaches every
 canonical pattern-free family.
 
-For the diamond, one vector step per chunk builds each family's
-``blocked`` word: the masks whose addition creates a diamond.  Other
-patterns ask ``creates_copy`` per mask.  A family is saturated exactly
-when no non-member is free.  The first layer containing a saturated
-family is the exact minimum, and every family of smaller size has been
-examined.
+One vector step per chunk builds each family's ``blocked`` word: the
+masks whose addition creates a copy of the pattern.  The diamond has
+its own step, ``diamond_blocked``; every other pattern pairs the family
+words with the cached table of its copies in 2^[n] (``copy_blocked``).
+A mask is free when it is neither a member nor blocked, and a family
+is saturated exactly when no non-member is free.  The first layer
+containing a saturated family is the exact minimum, and every family of
+smaller size has been examined.
 
 Families are expanded in canonical order and their children come out
 in that order too, so results and manifests are deterministic.
@@ -31,7 +33,7 @@ import numpy as np
 
 from ._version import __version__
 from .canonical import batch_is_canonical, canonical_key
-from .detect import DIAMOND, creates_copy, diamond_blocked
+from .detect import DIAMOND, copy_blocked, diamond_blocked
 from .families import SetFamily, canonical_order, family_to_json, family_words, word_bits
 from .posets import PatternPoset
 from .saturate import (
@@ -114,21 +116,6 @@ def _pattern_id(p: PatternPoset) -> str:
 _CHUNK = 1 << 13  # families per vector step
 
 
-def _copy_step(n: int, p: PatternPoset, fams, words, later) -> tuple[np.ndarray, np.ndarray]:
-    """Free later masks and saturation by ``creates_copy``.  Per family it
-    tests every later allowed mask, then, when none is free, the
-    non-members in canonical order up to the first free one."""
-    bits = word_bits(n).tolist()
-    order = canonical_order(n).tolist()
-    kids = np.zeros(len(fams), dtype=np.uint64)
-    saturated = np.zeros(len(fams), dtype=bool)
-    for i, (row, word, after) in enumerate(zip(fams.tolist(), words.tolist(), later.tolist())):
-        fam = tuple(row)
-        kids[i] = kid = sum(bits[m] for m in order if after & bits[m] and not creates_copy(fam, m, p))
-        saturated[i] = not kid and all(creates_copy(fam, m, p) for m in order if not word & bits[m])
-    return kids, saturated
-
-
 def _extend(n: int, p: PatternPoset, frontier: np.ndarray, allowed_word) -> list[np.ndarray]:
     """Per family: the word of allowed masks after its last member, the
     word of those that are free, and whether no non-member is free."""
@@ -140,11 +127,9 @@ def _extend(n: int, p: PatternPoset, frontier: np.ndarray, allowed_word) -> list
         words = family_words(n, fams)
         after = bits[fams[:, -1]] - np.uint64(1) if fams.shape[1] else np.full(len(fams), full)
         later = after & allowed_word
-        if p == DIAMOND:
-            free = ~(words | diamond_blocked(n, fams, words)) & full
-            parts.append((later, free & later, free == 0))
-        else:
-            parts.append((later, *_copy_step(n, p, fams, words, later)))
+        blocked = diamond_blocked(n, fams, words) if p == DIAMOND else copy_blocked(n, p, words)
+        free = ~(words | blocked) & full
+        parts.append((later, free & later, free == 0))
     return [np.concatenate(col) for col in zip(*parts)]
 
 

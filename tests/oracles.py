@@ -68,6 +68,29 @@ def has_induced_using(f: SetFamily, s: int, p: PatternPoset) -> bool:
     return False
 
 
+def has_induced_through(f: SetFamily, s: int, p: PatternPoset) -> bool:
+    """has_induced_using for patterns too large for all permutations:
+    the same injective tuples into f + {s}, built point by point in
+    index order, a partial tuple dropped as soon as two of its points
+    break p's order; a full tuple counts when it holds s."""
+    members = f.add(s).members
+    leq = p.leq
+
+    def extend(image: list[int]) -> bool:
+        a = len(image)
+        if a == p.size:
+            return s in image
+        for m in members:
+            if m not in image and all(
+                leq[b][a] == (x & m == x) and leq[a][b] == (x & m == m) for b, x in enumerate(image)
+            ):
+                if extend(image + [m]):
+                    return True
+        return False
+
+    return extend([])
+
+
 def least_witness_using(f: SetFamily, s: int, p: PatternPoset):
     """The witness rule of find_induced_using by brute force.
 

@@ -333,3 +333,28 @@ def test_check_outputs_are_pinned(tmp_path, capsys, spec, name):
         digest.update(repr(code).encode())
         digest.update(json.dumps(json.loads(out)["report"], sort_keys=True).encode())
     assert digest.hexdigest()[:16] == CHECK_DIGESTS[spec, name]
+
+
+def without_wall_times(node):
+    if isinstance(node, dict):
+        return {k: without_wall_times(v) for k, v in node.items() if k != "wall_time_s"}
+    if isinstance(node, list):
+        return [without_wall_times(v) for v in node]
+    return node
+
+
+# sha256 prefixes over the exit code and the JSON output, wall times
+# dropped, of exact-search commands
+SEARCH_DIGESTS = {
+    ("q3probe", "--n", "4"): "0049f097ff246a17",
+    ("satstar", "--pattern", "v", "--n", "5"): "2173fe66d3673283",
+    ("satstar", "--n", "6", "--pattern", "diamond"): "101121c9adb2b724",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SEARCH_DIGESTS), ids="-".join)
+def test_search_outputs_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    text = repr(code) + json.dumps(without_wall_times(doc), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SEARCH_DIGESTS[argv]

@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetsat.detect import diamond_blocked
+from posetsat import detect
+from posetsat.detect import copy_blocked, diamond_blocked
 from posetsat.families import SetFamily, canonical_order, family_words, word_bits
-from posetsat.posets import make_diamond
-from posetsat.saturate import greedy_saturate
+from posetsat.posets import make_diamond, pattern_from_spec
+from posetsat.saturate import Q3, greedy_saturate
 from posetsat.search import classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
 
 import oracles
@@ -169,7 +172,9 @@ def word_families(draw):
 @given(word_families())
 def test_diamond_blocked_word_matches_the_oracle(f):
     fams = np.array(f.members, dtype=np.int64).reshape(1, len(f))
-    blocked = int(diamond_blocked(f.n, fams, family_words(f.n, fams))[0])
+    words = family_words(f.n, fams)
+    blocked = int(diamond_blocked(f.n, fams, words)[0])
+    assert int(copy_blocked(f.n, D, words)[0]) == blocked & ~int(words[0])  # non-members only
     bits = word_bits(f.n).tolist()
     for m in range(1 << f.n):
         if m not in f:
@@ -185,3 +190,117 @@ def test_diamond_blocked_rows_are_independent():
     for row, word in zip(fams, batch):
         one = row[None, :]
         assert diamond_blocked(6, one, family_words(6, one))[0] == word
+
+
+def point_masks(p):
+    """p's points as sets over few coordinates: Q3's labels are already
+    masks of [3]; any other pattern takes each point's down-set."""
+    if p == Q3:
+        return list(range(8)), 3
+    return [sum(1 << b for b in range(p.size) if p.leq[b][a]) for a in range(p.size)], p.size
+
+
+@st.composite
+def pattern_families(draw, p, min_n, max_n):
+    """Families over min_n <= n <= max_n: random, greedily p-saturated, or
+    random with a copy of p put in, sometimes less one of its members."""
+    n = draw(st.integers(min_n, max_n))
+    kind = draw(st.sampled_from(("random", "greedy", "planted")))
+    if kind == "greedy":
+        seed = draw(st.integers(0, 10**6))
+        return greedy_saturate(SetFamily(n, ()), p, order="shuffle", seed=seed)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6, unique=True))
+    points, r = point_masks(p)
+    if kind == "planted" and r <= n:
+        coords = draw(st.permutations(range(n)))[:r]
+        base = draw(st.integers(0, (1 << n) - 1)) & ~sum(1 << c for c in coords)
+        copy = [base | sum(1 << c for i, c in enumerate(coords) if x >> i & 1) for x in points]
+        if draw(st.booleans()):
+            del copy[draw(st.integers(0, r - 1)) % len(copy)]
+        masks += copy
+    return SetFamily(n, tuple(masks))
+
+
+def copy_blocked_word(f, p):
+    words = family_words(f.n, np.array(f.members, dtype=np.int64).reshape(1, len(f)))
+    return int(copy_blocked(f.n, p, words)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_copy_blocked_word_matches_the_oracle(data):
+    p = data.draw(st.sampled_from(PATTERNS))
+    f = data.draw(pattern_families(p, 1, 4))
+    blocked, bits = copy_blocked_word(f, p), word_bits(f.n).tolist()
+    for m in range(1 << f.n):
+        if m not in f:
+            assert bool(blocked & bits[m]) == oracles.has_induced_using(f, m, p), m
+            assert oracles.has_induced_through(f, m, p) == oracles.has_induced_using(f, m, p), m
+        else:
+            assert not blocked & bits[m]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern_families(Q3, 3, 5))
+def test_copy_blocked_word_matches_the_oracle_on_q3(f):
+    blocked, bits = copy_blocked_word(f, Q3), word_bits(f.n).tolist()
+    for m in range(1 << f.n):
+        if m not in f:
+            assert bool(blocked & bits[m]) == oracles.has_induced_through(f, m, Q3), m
+
+
+def test_copy_blocked_rows_are_independent():
+    rng = np.random.default_rng(5)
+    ranks = np.sort(rng.choice(32, size=(40, 6)), axis=1)
+    fams = canonical_order(5)[ranks[(np.diff(ranks, axis=1) > 0).all(axis=1)]]
+    batch = copy_blocked(5, Q3, family_words(5, fams))
+    for row, word in zip(fams, batch):
+        assert copy_blocked(5, Q3, family_words(5, row[None, :]))[0] == word
+
+
+# Induced copies of a pattern in 2^[n], counted as sets of masks.
+COPY_COUNTS = {
+    ("qk:3", 3): 1, ("qk:3", 4): 74, ("qk:3", 5): 3425, ("qk:3", 6): 126910,
+    ("diamond", 4): 151, ("diamond", 5): 1275, ("diamond", 6): 9751,
+    ("v", 3): 12, ("v", 4): 97, ("v", 5): 660, ("v", 6): 4081,
+    ("antichain:5", 6): 304752,
+}
+
+
+def brute_copy_count(n, p):
+    """k-sets of masks of [n] that carry p's order under some labeling; a
+    set whose number of nested pairs differs from p's is skipped before
+    any labeling is tried.  Such a copy uses every mask of the set, so it
+    is a copy through the first one."""
+    nested = sum(p.leq[a][b] for a in range(p.size) for b in range(p.size) if a != b)
+    count = 0
+    for masks in itertools.combinations(range(1 << n), p.size):
+        if sum(x & y == x for x, y in itertools.permutations(masks, 2)) == nested:
+            count += oracles.has_induced_through(SetFamily(n, masks[1:]), masks[0], p)
+    return count
+
+
+@pytest.mark.parametrize("spec, n", sorted(COPY_COUNTS))
+def test_copy_table_sizes(spec, n):
+    p = pattern_from_spec(spec)
+    words = detect._copy_words(n, p)
+    assert len(words) == COPY_COUNTS[spec, n]
+    assert (words[1:] > words[:-1]).all()
+    assert all(int(w).bit_count() == p.size for w in words[:1000])
+    if n <= 4:
+        assert brute_copy_count(n, p) == COPY_COUNTS[spec, n]
+
+
+@pytest.mark.parametrize("spec, n", [("v", 6), ("antichain:4", 5), ("qk:2", 4)])
+def test_twins_make_each_copy_once(spec, n):
+    """Every automorphism of these patterns permutes twins, so with twins
+    taking increasing images each copy is built exactly once."""
+    p = pattern_from_spec(spec)
+    assert sum(map(len, detect._embedded_words(n, p))) == len(detect._copy_words(n, p))
+
+
+def test_copy_table_refuses_a_pattern_with_too_many_copies(monkeypatch):
+    monkeypatch.setattr(detect, "_MAX_COPIES", 1000)
+    monkeypatch.setattr(detect, "_TABLE_ROWS", 256)
+    with pytest.raises(ValueError, match="more than 1000 induced copies"):
+        detect._copy_words.__wrapped__(6, pattern_from_spec("antichain:5"))
