@@ -216,7 +216,7 @@ def pattern_families(draw, p, min_n, max_n):
         base = draw(st.integers(0, (1 << n) - 1)) & ~sum(1 << c for c in coords)
         copy = [base | sum(1 << c for i, c in enumerate(coords) if x >> i & 1) for x in points]
         if draw(st.booleans()):
-            del copy[draw(st.integers(0, r - 1)) % len(copy)]
+            del copy[draw(st.integers(0, len(copy) - 1))]
         masks += copy
     return SetFamily(n, tuple(masks))
 
