@@ -54,13 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+def _emit(args: argparse.Namespace, body: dict) -> None:
+    """Print body as JSON under the tool, version, command and config fields."""
+    head = {"tool": "posetsat", "version": __version__, "command": args.command, "config": _config_echo(args)}
+    print(json.dumps({**head, **body}, sort_keys=True, indent=2))
 
 
 def _load_family(path: str) -> SetFamily:
-    text = Path(path).read_text()
-    return parse_family(text)
+    return parse_family(Path(path).read_text())
 
 
 def _load_pattern(spec: str) -> PatternPoset:
@@ -98,15 +99,7 @@ def _cmd_check(args) -> int:
         certificate=args.certificate,
     )
     if args.format == "json":
-        _emit(
-            {
-                "tool": "posetsat",
-                "version": __version__,
-                "command": "check",
-                "config": _config_echo(args),
-                "report": report.to_json(),
-            }
-        )
+        _emit(args, {"report": report.to_json()})
     else:
         sampled = ""
         if report.mode == "spot" and report.verdict is Verdict.SATURATED:
@@ -123,15 +116,8 @@ def _cmd_analyze(args) -> int:
     # a family with a diamond comes back as a vacuous report whose
     # saturation verdict is NOT_FREE, with the witness under "saturation"
     report = verify_structure_invariants(fam)
-    payload = {
-        "tool": "posetsat",
-        "version": __version__,
-        "command": "analyze",
-        "config": _config_echo(args),
-    }
-    payload.update(report.to_json())
-    _emit(payload)
     if args.dot:
+        # first, so that a family too large to draw or a bad path prints no report
         dec = report.decomposition
         classes = None
         if dec is not None:
@@ -142,6 +128,7 @@ def _cmd_analyze(args) -> int:
                 "HY": set(dec.HY.members),
             }
         Path(args.dot).write_text(hasse_dot(fam, classes))
+    _emit(args, report.to_json())
     if report.saturation.verdict is Verdict.NOT_FREE:
         return EXIT_NOT_FREE
     if report.vacuous:
@@ -154,13 +141,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _manifest_payload(args, manifest) -> dict:
-    return {
-        "config": _config_echo(args),
-        **manifest.to_json(),
-    }
-
-
 def _cmd_satstar(args) -> int:
     pattern = _load_pattern(args.pattern)
     manifest = sat_star_exact(
@@ -170,7 +150,7 @@ def _cmd_satstar(args) -> int:
         symmetry=not args.no_symmetry,
     )
     if args.format == "json":
-        _emit(_manifest_payload(args, manifest))
+        _emit(args, manifest.to_json())
     else:
         result = manifest.result
         if result["status"] == "exact":
@@ -184,7 +164,7 @@ def _cmd_classify(args) -> int:
     pattern = _load_pattern(args.pattern)
     tagged, manifest = classify_minimum(args.n, pattern)
     if args.format == "json":
-        _emit(_manifest_payload(args, manifest))
+        _emit(args, manifest.to_json())
     else:
         for fam, tag in tagged:
             print(f"{tag}: {[list(s) for s in fam.sets()]}")
@@ -195,7 +175,7 @@ def _cmd_noextremes(args) -> int:
     pattern = _load_pattern(args.pattern)
     manifest = sat_star_no_extremes(args.n, pattern)
     if args.format == "json":
-        _emit(_manifest_payload(args, manifest))
+        _emit(args, manifest.to_json())
     else:
         result = manifest.result
         print(result["status"] if result["status"] != "exact" else result["value"])
@@ -203,33 +183,19 @@ def _cmd_noextremes(args) -> int:
 
 
 def _cmd_q3probe(args) -> int:
-    report = q3_probe(args.n)
-    _emit(
-        {
-            "tool": "posetsat",
-            "version": __version__,
-            "command": "q3probe",
-            "config": _config_echo(args),
-            **report,
-        }
-    )
+    _emit(args, q3_probe(args.n))
     return EXIT_OK
 
 
 def _cmd_catalog(args) -> int:
     pattern = _load_pattern(args.pattern)
     entries = upper_bound_catalog(args.n, pattern)
-    _emit(
-        {
-            "tool": "posetsat",
-            "version": __version__,
-            "command": "catalog",
-            "config": _config_echo(args),
-            "n": args.n,
-            "pattern": pattern.name,
-            "entries": [e.to_json() for e in entries],
-        }
-    )
+    if args.format == "json":
+        _emit(args, {"n": args.n, "pattern": pattern.name, "entries": [e.to_json() for e in entries]})
+    else:
+        for e in entries:
+            size = "-" if e.family is None else len(e.family)
+            print(f"{e.name}: size={size}, {e.report.verdict.value if e.emitted else e.reason}")
     return EXIT_OK
 
 
@@ -305,10 +271,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FamilyFormatError, PatternFormatError) as exc:
-        print(f"posetsat: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    # UnicodeDecodeError is a ValueError, so it is caught here, before that
+    except (FamilyFormatError, PatternFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"posetsat: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InternalCheckError as exc:

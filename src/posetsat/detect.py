@@ -33,7 +33,8 @@ family words of its induced copies in 2^[n], built once per (n, pattern)
 by a depth-first extension along the linear extension: a copy lacking
 exactly one mask of a family blocks that mask.  The diamond keeps its
 own step: B_6 holds 9,751 diamonds, and pairing families with them all
-made the n = 6 search 4x slower (20.6 s against 5.0 s).
+made the n = 6 search 4x slower (20.6 s against 5.0 s).  Both read
+and write words only through ``families``, which owns their layout.
 
 Witnesses are checked again by one implementation of the embedding
 conditions, ``first_invalid_row``: it takes rows of image masks, so a
@@ -49,7 +50,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .families import SetFamily, canonical_order, elements_of, word_bits
+from .families import (
+    SetFamily, after_words, canonical_order, elements_of, full_word, popcounts, word_bits, word_ranks
+)
 from .posets import PatternPoset, linear_extension, make_diamond
 
 DIAMOND = make_diamond()
@@ -543,13 +546,10 @@ def _embedded_words(n: int, p: PatternPoset):
     """
     plan = _plan(p)
     twin = _twin_slots(p, plan.order)
-    bits = word_bits(n)
-    full = np.uint64((1 << (1 << n)) - 1)
+    bits, after, full = word_bits(n), after_words(n), full_word(n)
+    masks = canonical_order(n).astype(np.uint8)  # by rank; a mask of [6] fits a byte
     up, down = _up_down_words(n)
     strict = {_BELOW: up & ~bits, _ABOVE: down & ~bits, _INCOMP: full & ~(up | down)}
-    # the mask whose word bit is 1 << j, for the little-endian bit j of a word
-    at_bit = np.zeros(64, dtype=np.uint8)
-    at_bit[(1 << n) - 1 - np.arange(1 << n)] = canonical_order(n)
 
     def grow(images: np.ndarray, words: np.ndarray):
         slot = images.shape[1]
@@ -557,19 +557,18 @@ def _embedded_words(n: int, p: PatternPoset):
         for e, kind in plan.checks[slot]:
             free &= strict[kind][images[:, e]]
         if twin[slot] is not None:
-            free &= bits[images[:, twin[slot]]] - np.uint64(1)  # later in canonical order
-        picks = np.unpackbits(free.view(np.uint8), bitorder="little").reshape(len(free), 64)
-        ends = np.cumsum(picks.sum(1))  # children up to and including each row
+            free &= after[images[:, twin[slot]]]
+        ends = np.cumsum(popcounts(free))  # children up to and including each row
         lo = 0
         while lo < len(words):
             done = int(ends[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, done + _TABLE_ROWS, "right")))
-            row, bit = np.nonzero(picks[lo:hi])
-            kids = words[lo:hi][row] | (np.uint64(1) << bit.astype(np.uint64))
+            row, rank = word_ranks(n, free[lo:hi])
+            kids = words[lo:hi][row] | bits[masks[rank]]
             if slot + 1 == plan.size:
                 yield kids
             elif len(kids):
-                yield from grow(np.hstack([images[lo:hi][row], at_bit[bit, None]]), kids)
+                yield from grow(np.hstack([images[lo:hi][row], masks[rank, None]]), kids)
             lo = hi
 
     yield from grow(np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.uint64))
@@ -613,8 +612,7 @@ def copy_blocked(n: int, p: PatternPoset, words: np.ndarray) -> np.ndarray:
     Families too small for any copy to lack just one mask need no table.
     """
     blocked = np.zeros_like(words)
-    sizes = np.unpackbits(words.view(np.uint8)).reshape(len(words), 64).sum(1)
-    if not len(words) or sizes.max() < p.size - 1:
+    if not len(words) or popcounts(words).max() < p.size - 1:
         return blocked
     copies, outside, one = _copy_words(n, p), ~words, np.uint64(1)
     step = max(1, _COPY_BLOCK // len(words))

@@ -5,7 +5,9 @@ which bit i-1 records membership of element i; ground sizes up to 64
 keep every subset inside one machine word.  A :class:`SetFamily` holds
 deduplicated member masks sorted by (cardinality, mask value) -- the
 canonical member order that makes every report and golden file
-deterministic.
+deterministic.  This module owns that order: other modules take it from
+``member_key``, ``cardinality_layers``, ``canonical_order`` and
+``canonical_permutation`` and never rebuild it.
 
 Text format: a header line ``n=<int>``, then one set per line as
 comma-separated elements of {1..n}, with ``-`` denoting the empty set
@@ -16,7 +18,10 @@ For n <= 6 the 2^n masks fit in one 64-bit word, and a family is one
 word: the mask of canonical rank r sets bit 2^n - 1 - r.  Among
 families of one size, the lexicographically smaller member tuple has
 the larger word: it holds the lowest-ranked mask in which the two
-differ, and that mask is their highest differing bit.
+differ, and that mask is their highest differing bit.  This module
+alone knows that layout: the tables of ``word_bits``, ``after_words``
+and ``full_word`` write words, and ``word_ranks`` and ``popcounts`` read
+them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -49,13 +55,40 @@ def member_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+def cardinality_layers(n: int) -> Iterator[np.ndarray]:
+    """The masks of [n] of each cardinality 0..n, as ascending int64 arrays.
+
+    The c-sets below 2^(h+1) whose highest element is h are h's bit over
+    the (c-1)-sets below 2^h, a prefix of the previous layer; so layer c
+    is built from layer c-1 in O(C(n, c)), with no pass over 2^n.
+    """
+    layer = np.zeros(1, dtype=np.int64)
+    yield layer
+    for c in range(1, n + 1):
+        layer = np.concatenate([layer[: comb(h, c - 1)] | (1 << h) for h in range(c - 1, n)])
+        yield layer
+
+
 @lru_cache(maxsize=None)
 def canonical_order(n: int) -> np.ndarray:
     """All masks of [n] in canonical order: entry r has rank r."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = sum(((masks >> i) & 1 for i in range(n)), np.zeros_like(masks))
-    # a stable sort keeps the masks of one size in increasing value
-    return np.argsort(sizes, kind="stable")
+    return np.concatenate(list(cardinality_layers(n)))
+
+
+_BYTE_POPCOUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def popcounts(x) -> np.ndarray:
+    """Set bits of each entry of an integer array: mask sizes, or family sizes of words."""
+    x = np.ascontiguousarray(x)
+    octets = _BYTE_POPCOUNTS[x.reshape(-1).view(np.uint8)]
+    return octets.reshape(*x.shape, x.itemsize).sum(-1, dtype=np.int64)
+
+
+def canonical_permutation(masks: np.ndarray) -> np.ndarray:
+    """Stable indices that sort an int64 or uint64 mask array by ``member_key``."""
+    masks = np.asarray(masks).astype(np.uint64, copy=False)
+    return np.lexsort((masks, popcounts(masks)))
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +99,25 @@ def word_bits(n: int) -> np.ndarray:
     bits = np.zeros(1 << n, dtype=np.uint64)
     bits[canonical_order(n)] = np.uint64(1) << np.arange((1 << n) - 1, -1, -1, dtype=np.uint64)
     return bits
+
+
+@lru_cache(maxsize=None)
+def after_words(n: int) -> np.ndarray:
+    """(2^n,) uint64 table: the word of the masks after each mask (n <= 6)."""
+    return word_bits(n) - np.uint64(1)
+
+
+def full_word(n: int) -> np.uint64:
+    """The word of every mask of [n] (n <= 6)."""
+    return np.bitwise_or.reduce(word_bits(n))
+
+
+def word_ranks(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, rank) of each member of an array of family words, rows in
+    order and ranks ascending (n <= 6)."""
+    # big-endian bytes and bits put bit 63 - c in column c, so rank r in 64 - 2^n + r
+    cols = np.unpackbits(np.asarray(words, dtype=">u8").view(np.uint8)).reshape(-1, 64)
+    return np.nonzero(cols[:, 64 - len(word_bits(n)):])
 
 
 def family_words(n: int, fams: np.ndarray) -> np.ndarray:
@@ -177,19 +229,7 @@ def minimal_sets(f: SetFamily) -> SetFamily:
 
 def maximal_sets(f: SetFamily) -> SetFamily:
     """Members of f with no strict superset in f; always an antichain."""
-    out = []
-    for m in f.members:
-        c = m.bit_count()
-        dominated = False
-        for s in reversed(f.members):
-            if s.bit_count() <= c:
-                break
-            if s & m == m:
-                dominated = True
-                break
-        if not dominated:
-            out.append(m)
-    return SetFamily(f.n, tuple(out))
+    return complement_family(minimal_sets(complement_family(f)))
 
 
 _HEADER_RE = re.compile(r"n\s*=\s*(\d+)")
@@ -203,7 +243,6 @@ def parse_family(text: str, strict: bool = False) -> SetFamily:
     :class:`FamilyFormatError` with the 1-based line number.
     """
     n = None
-    masks: list[int] = []
     seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -228,16 +267,10 @@ def parse_family(text: str, strict: bool = False) -> SetFamily:
                 mask = mask_of(elems, n)
             except ValueError as exc:
                 raise FamilyFormatError(str(exc), lineno) from None
-        if mask in seen:
-            if strict:
-                raise FamilyFormatError(f"duplicate set {format_subset(mask)!r}", lineno)
-            warnings.warn(f"line {lineno}: duplicate set {format_subset(mask)!r} dropped")
-            continue
-        seen.add(mask)
-        masks.append(mask)
+        _note(mask, seen, strict, lineno)
     if n is None:
         raise FamilyFormatError("missing header 'n=<int>'")
-    return SetFamily(n, tuple(masks))
+    return SetFamily(n, tuple(seen))
 
 
 def serialize_family(f: SetFamily) -> str:
@@ -259,32 +292,40 @@ def family_from_json(obj: dict, strict: bool = False) -> SetFamily:
         raise FamilyFormatError(f"bad family JSON: {exc}") from None
     if not 1 <= n <= MAX_GROUND:
         raise FamilyFormatError(f"ground size must be in 1..{MAX_GROUND}, got {n}")
-    masks = []
     seen: set[int] = set()
     for s in raw_sets:
         try:
             mask = mask_of(s, n)
         except ValueError as exc:
             raise FamilyFormatError(str(exc)) from None
-        if mask in seen:
-            if strict:
-                raise FamilyFormatError(f"duplicate set {format_subset(mask)!r}")
-            warnings.warn(f"duplicate set {format_subset(mask)!r} dropped")
-            continue
+        _note(mask, seen, strict)
+    return SetFamily(n, tuple(seen))
+
+
+def _note(mask: int, seen: set[int], strict: bool, line: int | None = None) -> None:
+    """Add a parsed set to seen; a duplicate raises if strict, else warns."""
+    if mask not in seen:
         seen.add(mask)
-        masks.append(mask)
-    return SetFamily(n, tuple(masks))
+        return
+    duplicate = FamilyFormatError(f"duplicate set {format_subset(mask)!r}", line)
+    if strict:
+        raise duplicate
+    warnings.warn(f"{duplicate} dropped", stacklevel=2)
 
 
 # Bytes of a little-endian word whose index bit k is clear, for k = 0, 1, 2.
 _LOW_BYTES = tuple(np.uint64(m) for m in (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))
 
 
-def _sweep(t: np.ndarray, n: int, down: bool) -> np.ndarray:
-    """OR each entry of a 0/1 table into its subsets (``down``) or its
-    supersets, one pass per bit.  Bits 0-2 index bytes inside a 64-bit
+def _sweep(n: int, masks, down: bool) -> np.ndarray:
+    """The 0/1 table of a sequence or array of masks, each entry ORed
+    into its subsets (``down``) or its supersets, one pass per bit.  Bits 0-2 index bytes inside a 64-bit
     word and are swept by shift-and-mask; higher bits by contiguous
     word blocks.  Tables below one word take the byte sweep."""
+    if n > MAX_TABLE_N:
+        raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
+    t = np.zeros(1 << n, dtype=bool)
+    t[np.asarray(masks, dtype=np.int64)] = True
     dst, src = (0, 1) if down else (1, 0)
     if n < 3:
         for k in range(n):
@@ -301,19 +342,11 @@ def _sweep(t: np.ndarray, n: int, down: bool) -> np.ndarray:
     return t
 
 
-def superset_table(n: int, masks: Iterable[int]) -> np.ndarray:
+def superset_table(n: int, masks) -> np.ndarray:
     """Boolean array t of length 2^n with t[x] iff some given mask contains x."""
-    if n > MAX_TABLE_N:
-        raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
-    t = np.zeros(1 << n, dtype=bool)
-    t[list(masks)] = True
-    return _sweep(t, n, down=True)
+    return _sweep(n, masks, down=True)
 
 
-def subset_table(n: int, masks: Iterable[int]) -> np.ndarray:
+def subset_table(n: int, masks) -> np.ndarray:
     """Boolean array t of length 2^n with t[x] iff some given mask is inside x."""
-    if n > MAX_TABLE_N:
-        raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
-    t = np.zeros(1 << n, dtype=bool)
-    t[list(masks)] = True
-    return _sweep(t, n, down=False)
+    return _sweep(n, masks, down=False)

@@ -7,13 +7,15 @@ subsets in canonical (cardinality, value) order (capped at n <= 24);
 spot mode samples missing subsets uniformly and is clearly labeled
 non-exhaustive unless the sample covers every missing subset.
 
-The full scan walks the missing subsets in numpy batches that start at
-2^12 masks and double up to a fixed cap, so a family that fails early
-stops early while a long scan pays numpy's per-call overhead rarely.
-For the diamond each batch is tested in one vector pass over the
-scanner's lookup tables; other patterns test the masks of a batch one
-at a time with ``detect.creates_copy``.  The scan stops at the first
-batch holding a failure, and the report names the canonical first
+The full scan takes the missing subsets from the cardinality layers of
+``families`` less the members, in numpy batches that start at 2^12
+masks and double up to a fixed cap, so a family that fails early stops
+early while a long scan pays numpy's per-call overhead rarely.  For the
+diamond each batch is tested in one vector pass over the scanner's
+lookup tables, whose pair generators are arrays sorted by
+``families.canonical_permutation``; other patterns test the masks of a
+batch one at a time with ``detect.creates_copy``.  The scan stops at the
+first batch holding a failure, and the report names the canonical first
 failure, so verdict and evidence never depend on batch boundaries.
 Spot mode sorts its sample into the same canonical order and tests it
 as one batch of the same kind; above the table limit the diamond
@@ -42,7 +44,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from math import comb
 
 import numpy as np
 
@@ -60,10 +61,13 @@ from .detect import (
 from .families import (
     MAX_TABLE_N,
     SetFamily,
+    canonical_permutation,
     canonical_order,
+    cardinality_layers,
     elements_of,
     family_to_json,
     member_key,
+    popcounts,
     subset_table,
     superset_table,
 )
@@ -216,22 +220,11 @@ def is_free(f: SetFamily, p: PatternPoset) -> bool:
 
 
 def _missing_layers(f: SetFamily):
-    """Missing subsets of each cardinality 0..n, as ascending int64 arrays.
-
-    The c-sets below 2^(h+1) whose highest element is h are h's bit over
-    the (c-1)-sets below 2^h, which are a prefix of the previous layer;
-    so layer c is built from layer c-1 in O(C(n, c)) without a pass over
-    the whole 2^n range.
-    """
-    n = f.n
+    """Missing subsets of each cardinality 0..n, as ascending int64 arrays:
+    the cardinality layers of [n] less the members."""
     members = np.array(f.members, dtype=np.int64)
-    sizes = np.array([m.bit_count() for m in f.members], dtype=np.int64)
-    layer = np.zeros(1, dtype=np.int64)
-    for c in range(n + 1):
-        if c:
-            layer = np.concatenate(
-                [layer[: comb(h, c - 1)] | (1 << h) for h in range(c - 1, n)]
-            )
+    sizes = popcounts(members)
+    for c, layer in enumerate(cardinality_layers(f.n)):
         present = members[sizes == c]
         yield np.delete(layer, np.searchsorted(layer, present)) if len(present) else layer
 
@@ -274,20 +267,20 @@ _PAIR_BLOCK = 1 << 20
 
 def pair_generators(
     members: tuple[int, ...], suptab: np.ndarray, subtab: np.ndarray
-) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Generators of the incomparable member pairs (i, j), i < j.
 
-    Returns (bottoms, tops): bottoms maps c & d to the lexicographically
-    least pair whose members c, d have a common top (``suptab[c | d]``),
-    tops maps c | d to the least pair with a common bottom
-    (``subtab[c & d]``).  Both are in canonical key order.  Pairs are
-    taken in row blocks in lexicographic order, so the first pair seen
-    per key is the least.
+    Returns (bottoms, tops), each int64 arrays (keys, pairs) in canonical
+    key order: bottoms pairs c & d with the lexicographically least pair
+    whose members c, d have a common top (``suptab[c | d]``), tops pairs
+    c | d with the least pair with a common bottom (``subtab[c & d]``).
+    Pairs are taken in row blocks in lexicographic order, so the first
+    pair per key of the earliest block holding it is the least.
     """
-    bottoms: dict[int, tuple[int, int]] = {}
-    tops: dict[int, tuple[int, int]] = {}
     arr = np.array(members, dtype=np.int64)
     nm = len(arr)
+    none = (np.empty(0, dtype=np.int64),) * 3
+    bottoms, tops = [none], [none]
     step = max(1, _PAIR_BLOCK // max(nm, 1))
     for r0 in range(0, nm, step):
         rows = arr[r0:r0 + step, None]
@@ -298,21 +291,24 @@ def pair_generators(
         i, j = np.nonzero(later & (inter != rows))
         inter, union = inter[i, j], rows[i, 0] | arr[j]
         i += r0
-        _keep_first(bottoms, inter, i, j, suptab[union])
-        _keep_first(tops, union, i, j, subtab[inter])
-    return _canonical(bottoms), _canonical(tops)
+        keep = suptab[union]
+        bottoms.append(_first_per_key(inter[keep], i[keep], j[keep]))
+        keep = subtab[inter]
+        tops.append(_first_per_key(union[keep], i[keep], j[keep]))
+    return _canonical_generators(bottoms), _canonical_generators(tops)
 
 
-def _canonical(gens: dict) -> dict:
-    return dict(sorted(gens.items(), key=lambda kv: member_key(kv[0])))
+def _first_per_key(keys: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """(keys, i, j) of the first pair per key, keys ascending."""
+    keys, first = np.unique(keys, return_index=True)
+    return keys, i[first], j[first]
 
 
-def _keep_first(gens: dict, keys: np.ndarray, i: np.ndarray, j: np.ndarray, keep: np.ndarray):
-    """Record the first kept pair per key not yet in gens."""
-    keys, i, j = keys[keep], i[keep], j[keep]
-    uniq, pos = np.unique(keys, return_index=True)
-    for key, p in zip(uniq.tolist(), pos.tolist()):
-        gens.setdefault(key, (int(i[p]), int(j[p])))
+def _canonical_generators(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """The earliest pair per key over the blocks, keys in canonical order."""
+    keys, i, j = _first_per_key(*map(np.concatenate, zip(*blocks)))
+    order = canonical_permutation(keys)
+    return keys[order], np.stack([i[order], j[order]], axis=1)
 
 
 class _DiamondScanner:
@@ -332,14 +328,12 @@ class _DiamondScanner:
         self.subtab = subset_table(f.n, ms)
         self.suptab = superset_table(f.n, ms)
         self.member_array = np.array(ms, dtype=np.int64)
-        bottom_gens, top_gens = pair_generators(ms, self.suptab, self.subtab)
-        self.bottomable = superset_table(f.n, bottom_gens.keys())
-        self.topable = subset_table(f.n, top_gens.keys())
         # generator keys in canonical order, and their member index pairs
-        self.bottom_keys = np.array(list(bottom_gens), dtype=np.int64)
-        self.bottom_pairs = np.array(list(bottom_gens.values()), dtype=np.int64).reshape(-1, 2)
-        self.top_keys = np.array(list(top_gens), dtype=np.int64)
-        self.top_pairs = np.array(list(top_gens.values()), dtype=np.int64).reshape(-1, 2)
+        (self.bottom_keys, self.bottom_pairs), (self.top_keys, self.top_pairs) = pair_generators(
+            ms, self.suptab, self.subtab
+        )
+        self.bottomable = superset_table(f.n, self.bottom_keys)
+        self.topable = subset_table(f.n, self.top_keys)
 
     def first_failure(self, batch: np.ndarray) -> int | None:
         """Position of the first mask in batch whose addition creates no

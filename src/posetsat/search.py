@@ -1,15 +1,14 @@
 """Exact minimum-saturation search by orderly generation (n <= 6).
 
 The engine enumerates pattern-free families layer by layer (size 1, 2,
-...).  A family is a sorted member tuple and also one 64-bit word (see
-``families``: the mask of canonical rank r sets bit 2^n - 1 - r); a
-layer is a (T, s) array of member masks, processed in bounded chunks.
-A family is extended only by masks after its last member in canonical
-order, the lower bits of its word, so each family is built exactly
-once, and with symmetry reduction only canonical orbit representatives
-are kept.  Deleting the last member of a canonical family leaves a
-canonical family, so extending canonical representatives reaches every
-canonical pattern-free family.
+...).  A family is a sorted member tuple and also one 64-bit word, whose
+layout only ``families`` knows; a layer is a (T, s) array of member
+masks, processed in bounded chunks.  A family is extended only by masks
+after its last member in canonical order (``families.after_words``), so
+each family is built exactly once, and with symmetry reduction only
+canonical orbit representatives are kept.  Deleting the last member of
+a canonical family leaves a canonical family, so extending canonical
+representatives reaches every canonical pattern-free family.
 
 One vector step per chunk builds each family's ``blocked`` word: the
 masks whose addition creates a copy of the pattern.  The diamond has
@@ -34,7 +33,9 @@ import numpy as np
 from ._version import __version__
 from .canonical import batch_is_canonical, canonical_key
 from .detect import DIAMOND, copy_blocked, diamond_blocked
-from .families import SetFamily, canonical_order, family_to_json, family_words, word_bits
+from .families import (
+    SetFamily, after_words, canonical_order, family_to_json, family_words, full_word, popcounts, word_ranks
+)
 from .posets import PatternPoset
 from .saturate import (
     Q3,
@@ -119,13 +120,12 @@ _CHUNK = 1 << 13  # families per vector step
 def _extend(n: int, p: PatternPoset, frontier: np.ndarray, allowed_word) -> list[np.ndarray]:
     """Per family: the word of allowed masks after its last member, the
     word of those that are free, and whether no non-member is free."""
-    bits = word_bits(n)
-    full = np.uint64((1 << (1 << n)) - 1)
+    full = full_word(n)
     parts = []
     for lo in range(0, len(frontier), _CHUNK):
         fams = frontier[lo:lo + _CHUNK]
         words = family_words(n, fams)
-        after = bits[fams[:, -1]] - np.uint64(1) if fams.shape[1] else np.full(len(fams), full)
+        after = after_words(n)[fams[:, -1]] if fams.shape[1] else np.full(len(fams), full)
         later = after & allowed_word
         blocked = diamond_blocked(n, fams, words) if p == DIAMOND else copy_blocked(n, p, words)
         free = ~(words | blocked) & full
@@ -136,23 +136,14 @@ def _extend(n: int, p: PatternPoset, frontier: np.ndarray, allowed_word) -> list
 def _next_layer(n: int, frontier: np.ndarray, kids: np.ndarray, symmetry: bool) -> np.ndarray:
     """Children fam + (m,) per kid bit m, parent by parent in canonical
     order; only canonical ones under symmetry reduction."""
-    shifts = np.arange((1 << n) - 1, -1, -1, dtype=np.uint64)  # column r: rank r
     parts = []
     for lo in range(0, len(frontier), _CHUNK):
-        parent, rank = np.nonzero((kids[lo:lo + _CHUNK, None] >> shifts) & np.uint64(1))
+        parent, rank = word_ranks(n, kids[lo:lo + _CHUNK])
         children = np.hstack([frontier[lo:lo + _CHUNK][parent], canonical_order(n)[rank, None]])
         if symmetry and len(children):
             children = children[batch_is_canonical(n, children)]
         parts.append(children)
     return np.concatenate(parts)
-
-
-_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
-
-def _popcount(words: np.ndarray) -> int:
-    """Total number of set bits over an array of words."""
-    return int(_POP8[words.view(np.uint8)].sum())
 
 
 def _run_layers(
@@ -164,7 +155,7 @@ def _run_layers(
     symmetry: bool,
 ) -> tuple[SearchManifest, list[tuple[int, ...]]]:
     start_time = time.monotonic()
-    allowed_word = np.bitwise_or.reduce(word_bits(n)[np.array(allowed, dtype=np.int64)])
+    allowed_word = family_words(n, np.array([allowed], dtype=np.int64))[0]
     manifest = SearchManifest(
         command=command,
         n=n,
@@ -183,7 +174,8 @@ def _run_layers(
             break
         layer_start = time.monotonic()
         later, kids, saturated = _extend(n, p, frontier, allowed_word)
-        stats = LayerStats(size, len(frontier), _popcount(later), _popcount(kids), int(saturated.sum()))
+        tested, free = (int(popcounts(w).sum()) for w in (later, kids))
+        stats = LayerStats(size, len(frontier), tested, free, int(saturated.sum()))
         manifest.layers.append(stats)
         manifest.families_examined += stats.families
         manifest.nodes_expanded += stats.extensions_tested

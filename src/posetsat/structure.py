@@ -46,7 +46,6 @@ from .families import (
     elements_of,
     family_to_json,
     maximal_sets,
-    member_key,
     minimal_sets,
     subset_table,
     superset_table,
@@ -422,6 +421,11 @@ def _check_l22(f: SetFamily, dec: Decomposition, nested):
     return False, {"A_size": len(dec.A), "X_size": len(dec.X)}
 
 
+def _shared(f: SetFamily, g: SetFamily) -> list[list[int]]:
+    """The sets in both families, in canonical order."""
+    return [list(elements_of(m)) for m in f.members if m in g]
+
+
 def _chain2_verdict(g: SetFamily) -> Verdict:
     """2-chain verdict of g: free iff g is an antichain, and then saturated
     iff every set is comparable to some member."""
@@ -434,11 +438,11 @@ def _chain2_verdict(g: SetFamily) -> Verdict:
 
 @_lemma("L2.3", "minimal members and B are disjoint and their union is 2-chain-saturated")
 def _check_l23(f: SetFamily, dec: Decomposition, nested):
-    overlap = sorted(set(dec.A.members) & set(dec.B.members), key=member_key)
+    overlap = _shared(dec.A, dec.B)
     union = SetFamily(dec.n, dec.A.members + dec.B.members)
     verdict = _chain2_verdict(union)
     return not overlap and verdict is Verdict.SATURATED, {
-        "overlap": [list(elements_of(m)) for m in overlap],
+        "overlap": overlap,
         "union_size": len(union),
         "chain2_verdict": verdict.value,
     }
@@ -510,12 +514,8 @@ def _check_l26(f: SetFamily, dec: Decomposition, nested):
 
 @_lemma("L2.7", "middle generators avoid the extremal members: GB and A disjoint, HY and X disjoint")
 def _check_l27(f: SetFamily, dec: Decomposition, nested):
-    bad1 = sorted(set(dec.GB.members) & set(dec.A.members), key=member_key)
-    bad2 = sorted(set(dec.HY.members) & set(dec.X.members), key=member_key)
-    return not bad1 and not bad2, {
-        "GB_and_A": [list(elements_of(m)) for m in bad1],
-        "HY_and_X": [list(elements_of(m)) for m in bad2],
-    }
+    bad1, bad2 = _shared(dec.GB, dec.A), _shared(dec.HY, dec.X)
+    return not bad1 and not bad2, {"GB_and_A": bad1, "HY_and_X": bad2}
 
 
 @_lemma("L3.1", "the peeling classes partition exactly the elements covered by minimal members")
@@ -584,18 +584,14 @@ def _check_c37(f: SetFamily, dec: Decomposition, nested):
 def _check_p41(f: SetFamily, dec: Decomposition, nested):
     if not 2 * len(f) < 3 * f.n:
         return "requires family size below 3n/2"
-    bad = sorted(set(dec.A.members) & set(dec.X.members), key=member_key)
-    return not bad, {"common": [list(elements_of(m)) for m in bad]}
+    bad = _shared(dec.A, dec.X)
+    return not bad, {"common": bad}
 
 
 @_lemma("P4.2", "minimal members avoid HY; maximal members avoid GB")
 def _check_p42(f: SetFamily, dec: Decomposition, nested):
-    bad1 = sorted(set(dec.A.members) & set(dec.HY.members), key=member_key)
-    bad2 = sorted(set(dec.X.members) & set(dec.GB.members), key=member_key)
-    return not bad1 and not bad2, {
-        "A_and_HY": [list(elements_of(m)) for m in bad1],
-        "X_and_GB": [list(elements_of(m)) for m in bad2],
-    }
+    bad1, bad2 = _shared(dec.A, dec.HY), _shared(dec.X, dec.GB)
+    return not bad1 and not bad2, {"A_and_HY": bad1, "X_and_GB": bad2}
 
 
 @_lemma(
@@ -606,8 +602,8 @@ def _check_p42(f: SetFamily, dec: Decomposition, nested):
 def _check_p43(f: SetFamily, dec: Decomposition, nested):
     if len(f) > f.n:
         return "requires family size at most n"
-    bad = sorted(set(dec.GB.members) & set(dec.HY.members), key=member_key)
-    return not bad, {"common": [list(elements_of(m)) for m in bad]}
+    bad = _shared(dec.GB, dec.HY)
+    return not bad, {"common": bad}
 
 
 def verify_structure_invariants(f: SetFamily) -> StructureReport:

@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from posetsat import cli, saturate, structure
+from posetsat import cli, hasse, saturate, structure
 from posetsat.detect import DIAMOND
 from posetsat.families import SetFamily, serialize_family
 from posetsat.posets import pattern_from_spec
@@ -136,6 +136,19 @@ def test_check_data_errors(tmp_path, capsys):
         assert code == 65 and out == ""
 
 
+def test_unreadable_inputs_are_data_errors(tmp_path, capsys):
+    # a directory and a file that is not UTF-8, as a family and as a pattern
+    folder = tmp_path / "dir.poset"
+    folder.mkdir()
+    binary = tmp_path / "bin.poset"
+    binary.write_bytes(b"n=2\n\xff\xfe\n")
+    chain = write(tmp_path, "chain", chain_family(3))
+    for path in (folder, binary):
+        for target in (["--family", str(path), "--pattern", "diamond"], ["--family", chain, "--pattern", str(path)]):
+            code, out, err = run(capsys, "check", *target)
+            assert code == 65 and out == "" and err.startswith("posetsat: data error: ")
+
+
 def test_check_text_output_labels_spot_mode(tmp_path, capsys):
     path = write(tmp_path, "chain6", chain_family(6))
     text = ["check", "--family", path, "--pattern", "diamond", "--format", "text"]
@@ -251,6 +264,32 @@ def test_analyze_reports_a_diamond_under_saturation(tmp_path, capsys):
     assert "verdict" not in doc and "witness" not in doc
     assert doc["saturation"]["verdict"] == "NOT_FREE"
     assert doc["saturation"]["witness"]["pattern"] == "diamond"
+
+
+def test_analyze_writes_the_dot_file_before_the_report(tmp_path, capsys, monkeypatch):
+    family = write(tmp_path, "chain", chain_family(5))
+    dot = tmp_path / "chain.dot"
+    code, out, _ = run(capsys, "analyze", "--family", family, "--dot", str(dot))
+    assert code == 0 and json.loads(out)["command"] == "analyze"
+    assert dot.read_text().startswith("digraph hasse {")
+    # an unwritable path, then a family above the DOT cap: no report at all
+    code, out, err = run(capsys, "analyze", "--family", family, "--dot", str(tmp_path / "absent" / "f.dot"))
+    assert code == 65 and out == "" and err.startswith("posetsat: data error: ")
+    monkeypatch.setattr(hasse, "MAX_HASSE", 5)
+    code, out, err = run(capsys, "analyze", "--family", family, "--dot", str(dot))
+    assert code == 64 and out == "" and "hasse export capped at 5 members" in err
+
+
+def test_catalog_text_lists_each_entry(capsys):
+    code, out, _ = run(capsys, "catalog", "--n", "4", "--pattern", "diamond", "--format", "text")
+    assert code == 0
+    assert out == (
+        "chain: size=5, SATURATED\n"
+        "empty+singletons: size=5, SATURATED\n"
+        "full+cosingletons: size=5, SATURATED\n"
+    )
+    code, out, _ = run(capsys, "catalog", "--n", "3", "--pattern", "qk:3", "--format", "text")
+    assert code == 0 and out == "q3-grid: size=-, construction needs n >= 4, got 3\n"
 
 
 def test_catalog_report_validates(capsys):

@@ -9,19 +9,26 @@ from hypothesis import strategies as st
 from posetsat.families import (
     FamilyFormatError,
     SetFamily,
+    after_words,
     canonical_order,
+    canonical_permutation,
+    cardinality_layers,
     complement_family,
     elements_of,
     family_from_json,
     family_to_json,
+    full_word,
     mask_of,
     maximal_sets,
     member_key,
     minimal_sets,
     parse_family,
+    popcounts,
     serialize_family,
     subset_table,
     superset_table,
+    word_bits,
+    word_ranks,
 )
 
 import oracles
@@ -214,6 +221,60 @@ def test_word_sweep_tables_equal_the_byte_sweep(n):
         assert np.array_equal(sup, byte_sweep(n, masks, down=True))
         assert np.array_equal(sub, byte_sweep(n, masks, down=False))
         assert sup.view(np.uint8).max(initial=0) <= 1 and sub.view(np.uint8).max(initial=0) <= 1
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_cardinality_layers_are_the_slices_of_the_member_key_order(n):
+    ordered = sorted(range(1 << n), key=member_key)
+    layers = list(cardinality_layers(n))
+    assert [layer.dtype for layer in layers] == [np.dtype(np.int64)] * (n + 1)
+    sizes = [m.bit_count() for m in ordered]
+    assert [layer.tolist() for layer in layers] == [
+        ordered[sizes.index(c):sizes.index(c) + len(layer)] for c, layer in enumerate(layers)
+    ]
+    assert sum(map(len, layers)) == 1 << n
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_word_layout_matches_bit_loops(n):
+    rng = random.Random(n)
+    ranks = {m: r for r, m in enumerate(sorted(range(1 << n), key=member_key))}
+    bits = word_bits(n).tolist()
+    assert bits == [1 << ((1 << n) - 1 - ranks[m]) for m in range(1 << n)]
+    assert after_words(n).tolist() == [b - 1 for b in bits]
+    assert int(full_word(n)) == sum(bits)
+    size = 1 << (1 << n)
+    words = [0, size - 1] + [rng.randrange(size) for _ in range(30)]
+    array = np.array(words, dtype=np.uint64)
+    assert popcounts(array).tolist() == [w.bit_count() for w in words]
+    row, rank = word_ranks(n, array)
+    top = (1 << n) - 1
+    assert list(zip(row.tolist(), rank.tolist())) == [
+        (i, r) for i, w in enumerate(words) for r in range(1 << n) if w >> (top - r) & 1
+    ]
+    assert [len(x) for x in word_ranks(n, array[:0])] == [0, 0]
+
+
+def test_popcounts_read_every_bit_of_wide_and_signed_entries():
+    rng = random.Random(1)
+    values = [0, 1, (1 << 64) - 1, 1 << 63] + [rng.getrandbits(64) for _ in range(50)]
+    assert popcounts(np.array(values, dtype=np.uint64)).tolist() == [v.bit_count() for v in values]
+    signed = np.array(values, dtype=np.uint64).view(np.int64)
+    assert popcounts(signed).tolist() == [v.bit_count() for v in values]
+    assert popcounts(np.array([[3, 7]], dtype=np.int64)).tolist() == [[2, 3]]
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.int64, 63), (np.uint64, 64), (np.int64, 12)])
+def test_canonical_permutation_sorts_by_member_key(dtype, bits):
+    rng = random.Random(bits)
+    masks = [rng.getrandbits(rng.randrange(bits + 1)) for _ in range(500)]
+    masks += [0, (1 << bits) - 1, 1 << (bits - 1)] + masks[:40]  # repeats too
+    array = np.array(masks, dtype=dtype)
+    order = canonical_permutation(array)
+    assert array[order].tolist() == sorted(masks, key=member_key)
+    # stable: repeats keep their input order
+    assert all(order[k] < order[k + 1] for k in range(len(order) - 1) if masks[order[k]] == masks[order[k + 1]])
+    assert canonical_permutation(np.zeros(0, dtype=dtype)).tolist() == []
 
 
 def test_member_key_orders_by_cardinality_then_value():
