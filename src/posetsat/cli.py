@@ -61,7 +61,8 @@ def _emit(args: argparse.Namespace, body: dict) -> None:
 
 
 def _load_family(path: str) -> SetFamily:
-    return parse_family(Path(path).read_text())
+    text = Path(path).read_text()
+    return parse_family(text)
 
 
 def _load_pattern(spec: str) -> PatternPoset:
@@ -271,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # UnicodeDecodeError is a ValueError, so it is caught here, before that
+    # UnicodeDecodeError subclasses ValueError, so it must be caught first
     except (FamilyFormatError, PatternFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"posetsat: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
