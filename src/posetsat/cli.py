@@ -5,6 +5,7 @@ catalog, hasse.  Exit codes follow the verdict contract so shell
 pipelines can branch on saturation status:
 
 * 0  SATURATED / success
+* 1  stdout closed before the output was written (as by ``| head``)
 * 2  FREE_NOT_SATURATED
 * 3  NOT_FREE
 * 64 usage error
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from .search import classify_minimum, q3_probe, sat_star_exact, sat_star_no_extr
 from .structure import verify_structure_invariants
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_FREE_NOT_SATURATED = 2
 EXIT_NOT_FREE = 3
 EXIT_USAGE = 64
@@ -106,7 +109,7 @@ def _cmd_check(args) -> int:
         if report.mode == "spot" and report.verdict is Verdict.SATURATED:
             sampled = f"sampled {report.checked} of {(1 << fam.n) - len(fam)} missing sets; "
         print(
-            f"{report.verdict.value} ({sampled}pattern {report.pattern.name}, "
+            f"{report.verdict.value} ({sampled}pattern {report.pattern.label}, "
             f"n={fam.n}, size={len(fam)})"
         )
     return _VERDICT_EXIT[report.verdict]
@@ -192,7 +195,7 @@ def _cmd_catalog(args) -> int:
     pattern = _load_pattern(args.pattern)
     entries = upper_bound_catalog(args.n, pattern)
     if args.format == "json":
-        _emit(args, {"n": args.n, "pattern": pattern.name, "entries": [e.to_json() for e in entries]})
+        _emit(args, {"n": args.n, "pattern": pattern.label, "entries": [e.to_json() for e in entries]})
     else:
         for e in entries:
             size = "-" if e.family is None else len(e.family)
@@ -272,6 +275,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone: print nothing, and point stdout at devnull
+        # so that the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     # UnicodeDecodeError subclasses ValueError, so it must be caught first
     except (FamilyFormatError, PatternFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"posetsat: data error: {exc}", file=sys.stderr)

@@ -81,7 +81,7 @@ class Embedding:
 
     def to_json(self) -> dict:
         return {
-            "pattern": self.pattern.name or f"poset:{self.pattern.size}",
+            "pattern": self.pattern.label,
             "map": [
                 {"point": pt, "set": list(elements_of(self.family.members[idx]))}
                 for pt, idx in enumerate(self.mapping)

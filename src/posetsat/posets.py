@@ -39,6 +39,11 @@ class PatternPoset:
             raise ValueError("relation matrix shape does not match size")
         object.__setattr__(self, "leq", tuple(tuple(bool(x) for x in row) for row in self.leq))
 
+    @property
+    def label(self) -> str:
+        """The name, or ``poset:<size>`` when the pattern has none."""
+        return self.name or f"poset:{self.size}"
+
     def __repr__(self) -> str:
         label = self.name or f"{self.size}-point pattern"
         return f"PatternPoset({label})"

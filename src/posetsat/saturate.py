@@ -17,10 +17,12 @@ lookup tables, whose pair generators are arrays sorted by
 batch one at a time with ``detect.creates_copy``.  The scan stops at the
 first batch holding a failure, and the report names the canonical first
 failure, so verdict and evidence never depend on batch boundaries.
-Spot mode sorts its sample into the same canonical order and tests it
-as one batch of the same kind; above the table limit the diamond
-takes the vector through-test ``detect.creates_diamond``: a few numpy
-passes over the member array per mask, with no 2^n table, up to n = 64.
+Spot mode draws its sample, sorts it into the same canonical order and
+feeds it as one batch to the same loop, so both modes share one scan
+and one tail that builds the witnesses; above the table limit the
+diamond takes the vector through-test ``detect.creates_diamond``: a few
+numpy passes over the member array per mask, with no 2^n table, up to
+n = 64.
 Greedy completion shares that test: it hands ``creates_diamond`` the
 member array, grown by appending as sets are accepted.
 
@@ -30,11 +32,12 @@ patterns take each row straight from the through-search behind
 ``detect.find_induced_using``, with no extended family per mask.  A full
 certificate keeps only those rows (:class:`Certificate`) and builds the
 :class:`Embedding` into f + {s} of an entry when it is read; the
-sample's few embeddings are built from rows the same way.  Before a
-report is returned, the sample is checked entry by entry with
-``detect.validate_embedding`` and the certificate rows in one vector
-pass of ``detect.first_invalid_row``, the test behind both, which
-reads only the family, the pattern and the rows.
+sample's few embeddings are built from rows the same way.  Every
+report is re-validated before it is returned: a NOT_FREE witness and
+the sample entry by entry with ``detect.validate_embedding``, and the
+certificate rows in one vector pass of ``detect.first_invalid_row``,
+the test behind both, which reads only the family, the pattern and the
+rows.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ class SaturationReport:
             "verdict": self.verdict.value,
             "n": self.family.n,
             "family_size": len(self.family),
-            "pattern": self.pattern.name or f"poset:{self.pattern.size}",
+            "pattern": self.pattern.label,
             "mode": self.mode,
             "exhaustive": self.exhaustive,
             "checked": self.checked,
@@ -466,7 +469,7 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
 
     inner = find_diamond(f) if p == DIAMOND else find_induced(f, p)
     if inner is not None:
-        return SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner), None
+        return _validated(SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner)), None
 
     scanner = None
     if p != DIAMOND or f.n > MAX_TABLE_N:
@@ -478,19 +481,10 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
         # their pattern, whatever name p was given
         first_failure, witnesses, shape = scanner.first_failure, scanner.witnesses, DIAMOND
 
-    def certify(added: np.ndarray) -> Certificate:
-        images = witnesses(added)
-        # the scanner marks a mask without a witness by a row of -1s
-        lost = np.flatnonzero((images < 0).any(1))
-        if len(lost):
-            raise InternalCheckError(f"no witness found through {elements_of(int(added[lost[0]]))}")
-        return Certificate(f, shape, added, images)
-
     if mode == "spot":
         rng = random.Random(seed)
         total_missing = (1 << f.n) - len(f)
         k = min(spot, total_missing)
-        exhaustive = k == total_missing
         chosen: set[int] = set()
         while len(chosen) < k:
             m = rng.getrandbits(f.n)
@@ -498,41 +492,41 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
                 chosen.add(m)
         # the scanner's rows are int64; above its tables masks of [64] reach 2^63
         dtype = np.int64 if f.n <= MAX_TABLE_N else np.uint64
-        ordered = np.array(sorted(chosen, key=member_key), dtype=dtype)
-        bad = first_failure(ordered)
-        if bad is not None:
-            return SaturationReport(
-                Verdict.FREE_NOT_SATURATED, f, p, mode, exhaustive, k,
-                missing=int(ordered[bad]), seed=seed,
-            ), scanner
-        head = certify(ordered[:_SAMPLE_LIMIT])
-        sample = tuple(head.entry(r) for r in range(len(head)))
-        return _validated(SaturationReport(
-            Verdict.SATURATED, f, p, mode, exhaustive, k, sample=sample, seed=seed
-        )), scanner
+        batches = [np.array(sorted(chosen, key=member_key), dtype=dtype)]
+        exhaustive, certificate = k == total_missing, False
+    else:
+        batches, exhaustive, seed = _missing_batches(f), True, None
 
-    checked = 0
-    passed: list[np.ndarray] = []
-    for batch in _missing_batches(f):
+    checked, missing, passed = 0, None, []
+    for batch in batches:
         bad = first_failure(batch)
         if bad is not None:
-            checked += bad + 1
-            return SaturationReport(
-                Verdict.FREE_NOT_SATURATED, f, p, mode, True, checked, missing=int(batch[bad])
-            ), scanner
+            # a spot report counts its whole sample as checked
+            checked += len(batch) if mode == "spot" else bad + 1
+            missing = int(batch[bad])
+            break
         if certificate or not passed:
             passed.append(batch)
         checked += len(batch)
 
-    # Saturated: every missing mask passed, so the passing masks in scan
-    # order are the missing masks in canonical order.
-    added = np.concatenate(passed) if passed else np.empty(0, dtype=np.int64)
-    cert = certify(added) if certificate else None
-    head = cert if cert is not None else certify(added[:_SAMPLE_LIMIT])
-    sample = tuple(head.entry(r) for r in range(min(_SAMPLE_LIMIT, len(head))))
-    return _validated(SaturationReport(
-        Verdict.SATURATED, f, p, mode, True, checked, certificate=cert, sample=sample
-    )), scanner
+    report = SaturationReport(
+        Verdict.SATURATED if missing is None else Verdict.FREE_NOT_SATURATED,
+        f, p, mode, exhaustive, checked, missing=missing, seed=seed,
+    )
+    if missing is None:
+        # every mask passed, so the passing masks in scan order are the
+        # missing (or sampled) masks in canonical order
+        added = np.concatenate(passed) if passed else np.empty(0, dtype=np.int64)
+        added = added if certificate else added[:_SAMPLE_LIMIT]
+        images = witnesses(added)
+        # the scanner marks a mask without a witness by a row of -1s
+        lost = np.flatnonzero((images < 0).any(1))
+        if len(lost):
+            raise InternalCheckError(f"no witness found through {elements_of(int(added[lost[0]]))}")
+        cert = Certificate(f, shape, added, images)
+        report.sample = tuple(cert.entry(r) for r in range(min(_SAMPLE_LIMIT, len(cert))))
+        report.certificate = cert if certificate else None
+    return _validated(report), scanner
 
 
 def _validated(report: SaturationReport) -> SaturationReport:

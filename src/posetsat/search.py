@@ -21,6 +21,11 @@ smaller size has been examined.
 
 Families are expanded in canonical order and their children come out
 in that order too, so results and manifests are deterministic.
+
+``satstar``, ``classify`` and ``noextremes`` share one driver,
+``_run_layers``: it takes the allowed masks, the size cap and the
+manifest mode, and returns the manifest and the minimum saturated
+families, each re-validated first: full-mode SATURATED, allowed masks only.
 """
 
 from __future__ import annotations
@@ -110,10 +115,6 @@ class SearchManifest:
         }
 
 
-def _pattern_id(p: PatternPoset) -> str:
-    return p.name or f"poset:{p.size}"
-
-
 _CHUNK = 1 << 13  # families per vector step
 
 
@@ -148,24 +149,27 @@ def _next_layer(n: int, frontier: np.ndarray, kids: np.ndarray, symmetry: bool) 
 
 def _run_layers(
     command: str,
+    mode: str,
     n: int,
     p: PatternPoset,
     allowed: list[int],
     size_cap: int,
     symmetry: bool,
-) -> tuple[SearchManifest, list[tuple[int, ...]]]:
+) -> tuple[SearchManifest, list[SetFamily]]:
+    """The manifest of the search over families of allowed masks up to
+    size_cap, and the minimum saturated families found, re-validated."""
     start_time = time.monotonic()
     allowed_word = family_words(n, np.array([allowed], dtype=np.int64))[0]
     manifest = SearchManifest(
         command=command,
         n=n,
-        pattern=_pattern_id(p),
-        mode="exact",
+        pattern=p.label,
+        mode=mode,
         symmetry=symmetry,
         size_cap=size_cap,
     )
     frontier = np.zeros((1, 0), dtype=np.int64)
-    winners: list[tuple[int, ...]] = []
+    winners: list[SetFamily] = []
     status = "lower_bound"
     value: int | None = None
     for size in range(0, size_cap + 1):
@@ -180,7 +184,7 @@ def _run_layers(
         manifest.families_examined += stats.families
         manifest.nodes_expanded += stats.extensions_tested
         if stats.saturated_found:
-            winners = [tuple(fam) for fam in frontier[saturated].tolist()]
+            winners = [SetFamily(n, tuple(fam)) for fam in frontier[saturated].tolist()]
             value = size
             status = "exact"
         elif size < size_cap:
@@ -198,20 +202,10 @@ def _run_layers(
     elif status == "lower_bound":
         manifest.result["value_at_least"] = size_cap + 1
     manifest.wall_time_s = round(time.monotonic() - start_time, 6)
-    return manifest, winners
-
-
-def _revalidate(n: int, p: PatternPoset, winners: list[tuple[int, ...]]) -> list[SetFamily]:
-    fams = []
     for fam in winners:
-        sf = SetFamily(n, fam)
-        report = is_saturated(sf, p, mode="full")
-        if report.verdict is not Verdict.SATURATED:
-            raise InternalCheckError(
-                f"search produced a family that fails re-validation: {sf!r}"
-            )
-        fams.append(sf)
-    return fams
+        if not set(fam.members).issubset(allowed) or is_saturated(fam, p).verdict is not Verdict.SATURATED:
+            raise InternalCheckError(f"search produced a family that fails re-validation: {fam!r}")
+    return manifest, winners
 
 
 def _default_cap(n: int, p: PatternPoset, size_cap: int | None) -> int:
@@ -241,10 +235,9 @@ def sat_star_exact(
         raise ValueError(f"exhaustive search needs 1 <= n <= {MAX_EXACT_N}, got {n}")
     cap = _default_cap(n, p, size_cap)
     allowed = canonical_order(n).tolist()
-    manifest, winners = _run_layers("satstar", n, p, allowed, cap, symmetry)
+    manifest, winners = _run_layers("satstar", "exact", n, p, allowed, cap, symmetry)
     if winners:
-        validated = _revalidate(n, p, winners)
-        manifest.result["witness"] = family_to_json(validated[0])
+        manifest.result["witness"] = family_to_json(winners[0])
     return manifest
 
 
@@ -268,12 +261,9 @@ def classify_minimum(n: int, p: PatternPoset) -> tuple[list[tuple[SetFamily, str
         raise ValueError(f"classification needs 1 <= n <= {MAX_CLASSIFY_N}, got {n}")
     cap = _default_cap(n, p, None)
     allowed = canonical_order(n).tolist()
-    manifest, winners = _run_layers("classify", n, p, allowed, cap, True)
-    manifest.mode = "classify"
-    tagged = []
+    manifest, winners = _run_layers("classify", "classify", n, p, allowed, cap, True)
+    tagged = [(fam, _tag(fam)) for fam in winners]
     if winners:
-        for fam in _revalidate(n, p, winners):
-            tagged.append((fam, _tag(fam)))
         manifest.result["representatives"] = [
             {"tag": tag, "family": family_to_json(fam)} for fam, tag in tagged
         ]
@@ -285,17 +275,10 @@ def sat_star_no_extremes(n: int, p: PatternPoset) -> SearchManifest:
     the full set; ``infeasible`` when no such family exists."""
     if not 1 <= n <= MAX_CLASSIFY_N:
         raise ValueError(f"restricted search needs 1 <= n <= {MAX_CLASSIFY_N}, got {n}")
-    full = (1 << n) - 1
     allowed = canonical_order(n).tolist()[1:-1]
-    manifest, winners = _run_layers("noextremes", n, p, allowed, len(allowed), True)
-    manifest.mode = "no-extremes"
+    manifest, winners = _run_layers("noextremes", "no-extremes", n, p, allowed, len(allowed), True)
     if winners:
-        validated = _revalidate(n, p, winners)
-        for fam in validated:
-            if 0 in fam or full in fam:
-                raise InternalCheckError("restricted search emitted an extreme set")
-        manifest.result["witness"] = family_to_json(validated[0])
-        manifest.result["witness_count"] = len(validated)
+        manifest.result["witness"] = family_to_json(winners[0])
     return manifest
 
 

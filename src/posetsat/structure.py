@@ -33,7 +33,6 @@ the test suite and the CLI.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -268,45 +267,6 @@ def nested_sequence(a_family: SetFamily) -> NestedSequence:
         bit = 1 << (a - 1)
         current = SetFamily(n, tuple(m for m in current.members if not m & bit))
     return NestedSequence(n, tuple(singletons), tuple(classes), tuple(families))
-
-
-@dataclass
-class CoverBoundResult:
-    hypothesis_holds: bool
-    k: int
-    bound: int
-    ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_holds": self.hypothesis_holds,
-            "k": self.k,
-            "bound": self.bound,
-            "ok": self.ok,
-        }
-
-
-def cover_bound_check(n: int, sets, h: int) -> CoverBoundResult:
-    """Check the covering bound: when every h-subset of [n] contains one
-    of the given nonempty sets, there must be at least n-h+1 of them."""
-    masks = list(sets)
-    if any(m == 0 for m in masks):
-        raise ValueError("member sets must be nonempty")
-    if not 1 <= h <= n:
-        raise ValueError(f"h must be in 1..{n}, got {h}")
-    if n > MAX_DECOMPOSE_N:
-        raise ValueError(f"exhaustive hypothesis check needs n <= {MAX_DECOMPOSE_N}")
-    hypothesis = True
-    for bits in itertools.combinations(range(n), h):
-        bmask = 0
-        for b in bits:
-            bmask |= 1 << b
-        if not any(a & bmask == a for a in masks):
-            hypothesis = False
-            break
-    k = len(masks)
-    bound = n - h + 1
-    return CoverBoundResult(hypothesis, k, bound, (not hypothesis) or k >= bound)
 
 
 # --- invariant suite -------------------------------------------------------

@@ -6,7 +6,6 @@ import posetsat
 # change: update this list in the same change.
 PUBLIC = [
     "CatalogEntry",
-    "CoverBoundResult",
     "Decomposition",
     "Embedding",
     "FamilyFormatError",
@@ -25,7 +24,6 @@ PUBLIC = [
     "chain_family",
     "classify_minimum",
     "complement_family",
-    "cover_bound_check",
     "cover_edges",
     "decompose",
     "dual",

@@ -1,15 +1,18 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from posetsat import cli, hasse, saturate, structure
+from posetsat import cli, hasse, saturate, search, structure
 from posetsat.detect import DIAMOND
 from posetsat.families import SetFamily, serialize_family
-from posetsat.posets import pattern_from_spec
+from posetsat.posets import make_hypercube, pattern_from_spec, serialize_pattern
 from posetsat.saturate import chain_family, greedy_saturate, q3_construction
 
 SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
@@ -158,6 +161,79 @@ def test_check_text_output_labels_spot_mode(tmp_path, capsys):
     code, out, _ = run(capsys, *text, "--mode", "spot:5")
     assert code == 0
     assert out == "SATURATED (sampled 5 of 57 missing sets; pattern diamond, n=6, size=7)\n"
+
+
+def test_unnamed_patterns_are_labeled_by_size(tmp_path, capsys):
+    # a pattern read from a file has no name; reports call it poset:<size>
+    diamond = tmp_path / "d.poset"
+    diamond.write_text(serialize_pattern(DIAMOND))
+    path = write(tmp_path, "chain3", chain_family(3))
+    code, out, _ = run(capsys, "check", "--family", path, "--pattern", str(diamond), "--format", "text")
+    assert code == 0 and out == "SATURATED (pattern poset:4, n=3, size=4)\n"
+    cube = tmp_path / "q3.poset"
+    cube.write_text(serialize_pattern(make_hypercube(3)))
+    code, out, _ = run(capsys, "catalog", "--n", "4", "--pattern", str(cube))
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("catalog_report"))
+    assert code == 0 and doc["pattern"] == "poset:8"
+    assert [(e["name"], e["verdict"]) for e in doc["entries"]] == [("q3-grid", "SATURATED")]
+
+
+def test_a_corrupted_not_free_witness_exits_70(tmp_path, capsys, monkeypatch):
+    real = saturate.find_diamond
+
+    def find_diamond(f):
+        emb = real(f)
+        return dataclasses.replace(emb, mapping=emb.mapping[:3] + emb.mapping[:1])
+
+    monkeypatch.setattr(saturate, "find_diamond", find_diamond)
+    path = write(tmp_path, "cube", SetFamily(2, (0, 1, 2, 3)))
+    code, out, err = run(capsys, "check", "--family", path, "--pattern", "diamond")
+    assert code == 70 and out == ""
+    assert err == "posetsat: internal inconsistency: stored embedding invalid: mapping is not injective\n"
+
+
+def test_satstar_exits_70_when_a_winner_fails_revalidation(capsys, monkeypatch):
+    real = search.is_saturated
+    monkeypatch.setattr(
+        search, "is_saturated",
+        lambda f, p, **kw: dataclasses.replace(real(f, p, **kw), verdict=saturate.Verdict.FREE_NOT_SATURATED),
+    )
+    code, out, err = run(capsys, "satstar", "--n", "3", "--pattern", "diamond")
+    assert code == 70 and out == ""
+    assert err.startswith("posetsat: internal inconsistency: search produced a family that fails re-validation")
+
+
+def test_satstar_without_symmetry_reduction(capsys):
+    code, out, _ = run(capsys, "satstar", "--n", "4", "--pattern", "diamond", "--no-symmetry")
+    plain = json.loads(out)
+    jsonschema.validate(plain, schema("search_manifest"))
+    assert code == 0 and plain["symmetry"] is False and plain["config"]["no_symmetry"] is True
+    code, out, _ = run(capsys, "satstar", "--n", "4", "--pattern", "diamond")
+    reduced = json.loads(out)
+    assert code == 0 and reduced["symmetry"] is True
+    assert [plain["result"][k] for k in ("status", "value")] == [reduced["result"][k] for k in ("status", "value")]
+    api = search.sat_star_exact(4, DIAMOND, symmetry=False).to_json()
+    assert without_wall_times(plain["layers"]) == without_wall_times(api["layers"])
+    # without the reduction each layer holds whole orbits, so no fewer families
+    assert all(a["families"] >= b["families"] for a, b in zip(plain["layers"], reduced["layers"]))
+
+
+def test_a_closed_stdout_exits_1_quietly(tmp_path):
+    # 154 members: the DOT text (13 kB) overflows the stdout buffer, so
+    # the write fails inside the command, not at interpreter exit
+    wide = write(tmp_path, "wide", SetFamily(8, tuple(m for m in range(256) if 2 <= bin(m).count("1") <= 4)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetsat.cli", "hasse", "--family", wide],
+            stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == b""
 
 
 @pytest.mark.parametrize(

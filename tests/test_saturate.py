@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -147,6 +148,22 @@ def test_saturated_evidence_is_revalidated(monkeypatch, mode, certificate):
     )
     with pytest.raises(saturate.InternalCheckError, match="invalid: mapping index out of range"):
         is_saturated(chain_family(4), D, mode=mode, spot=8, seed=1, certificate=certificate)
+
+
+@pytest.mark.parametrize("detector, p", [("find_diamond", D), ("find_induced", make_v())])
+def test_not_free_witness_is_revalidated(monkeypatch, detector, p):
+    real = getattr(saturate, detector)
+    calls = []
+
+    def corrupted(f, *args):
+        emb = real(f, *args)
+        calls.append(emb)
+        return dataclasses.replace(emb, mapping=emb.mapping[:-1] + emb.mapping[:1])
+
+    monkeypatch.setattr(saturate, detector, corrupted)
+    with pytest.raises(saturate.InternalCheckError, match="stored embedding invalid: mapping is not injective"):
+        is_saturated(SetFamily(2, (0, 1, 2, 3)), p)
+    assert len(calls) == 1
 
 
 def corrupt_row(monkeypatch, row: int, corrupt):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetsat import detect
+from posetsat import detect, search
 from posetsat.detect import copy_blocked, diamond_blocked
-from posetsat.families import SetFamily, canonical_order, family_words, word_bits
+from posetsat.families import SetFamily, canonical_order, family_words, full_word, word_bits
 from posetsat.posets import make_diamond, pattern_from_spec
-from posetsat.saturate import Q3, greedy_saturate
+from posetsat.saturate import Q3, InternalCheckError, Verdict, greedy_saturate
 from posetsat.search import classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
 
 import oracles
@@ -304,3 +304,36 @@ def test_copy_table_refuses_a_pattern_with_too_many_copies(monkeypatch):
     monkeypatch.setattr(detect, "_TABLE_ROWS", 256)
     with pytest.raises(ValueError, match="more than 1000 induced copies"):
         detect._copy_words.__wrapped__(6, pattern_from_spec("antichain:5"))
+
+
+SEARCHES = {
+    "satstar": lambda: sat_star_exact(3, D),
+    "classify": lambda: classify_minimum(3, D),
+    "noextremes": lambda: sat_star_no_extremes(3, D),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_every_search_revalidates_its_winners(monkeypatch, name):
+    real = search.is_saturated
+    checked = []
+
+    def is_saturated(f, p, **kw):
+        checked.append(f)
+        report = real(f, p, **kw)
+        assert report.mode == "full" and report.verdict is Verdict.SATURATED
+        report.verdict = Verdict.FREE_NOT_SATURATED
+        return report
+
+    monkeypatch.setattr(search, "is_saturated", is_saturated)
+    with pytest.raises(InternalCheckError, match="fails re-validation"):
+        SEARCHES[name]()
+    assert len(checked) == 1
+
+
+def test_noextremes_revalidates_the_allowed_masks(monkeypatch):
+    # a search step that ignores the allowed masks lets the chain through
+    real = search._extend
+    monkeypatch.setattr(search, "_extend", lambda n, p, frontier, allowed: real(n, p, frontier, full_word(n)))
+    with pytest.raises(InternalCheckError, match="fails re-validation: SetFamily"):
+        sat_star_no_extremes(3, D)

@@ -15,7 +15,6 @@ from posetsat.posets import make_chain
 from posetsat.saturate import Verdict, chain_family, empty_plus_singletons, greedy_saturate
 from posetsat.structure import (
     NotDiamondFreeError,
-    cover_bound_check,
     decompose,
     f_of,
     nested_sequence,
@@ -235,32 +234,6 @@ def test_nested_sequence_invariants(a_family):
         for t in fam.members:
             for l in range(j):
                 assert not seq.classes[l] & t
-
-
-def test_cover_bound_examples():
-    res = cover_bound_check(3, [0b1, 0b10, 0b100], 2)
-    assert res.hypothesis_holds and res.k == 3 and res.bound == 2 and res.ok
-    res = cover_bound_check(3, [0b1, 0b10], 2)
-    assert res.hypothesis_holds and res.k == 2 and res.ok
-    res = cover_bound_check(4, [0b1100], 2)
-    assert not res.hypothesis_holds and res.ok
-
-
-def test_cover_bound_errors():
-    with pytest.raises(ValueError):
-        cover_bound_check(3, [0], 2)
-    with pytest.raises(ValueError):
-        cover_bound_check(3, [1], 5)
-
-
-def test_cover_bound_random_scan_never_violated():
-    rng = random.Random(1)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        k = rng.randint(1, 4)
-        sets = [rng.randint(1, (1 << n) - 1) for _ in range(k)]
-        for h in range(1, n + 1):
-            assert cover_bound_check(n, sets, h).ok
 
 
 def test_verify_chain_gates_standing_checks():
