@@ -24,8 +24,9 @@ witness, so it puts s first, on one point per automorphism orbit only;
 ``find_induced_using`` and the certificates pin s at point 0, 1, ... of
 the linear extension in turn, for the lexicographically least witness.
 The diamond's through-test ``creates_diamond`` is a few vector passes
-per role of s over a member array; greedy completion and the scans
-above the table limit share it.  For the exact search at n <= 6,
+per role of s over a member array; it serves spot mode above the table
+limit, where the scanner of ``saturate`` builds no tables.  For the
+exact search at n <= 6,
 ``diamond_blocked`` answers it for every mask at once, as one family
 word of the masks that create a diamond, over a whole batch of families.
 ``copy_blocked`` does the same for any pattern from a table of the
@@ -412,11 +413,10 @@ def creates_copy(members: tuple[int, ...], m: int, p: PatternPoset) -> bool:
 
     Raw-tuple variant for enumeration inner loops; ``members`` must not
     contain m and may come in any order.  The diamond goes to
-    creates_diamond, which also takes a uint64 member array.  Otherwise
-    m is placed first, on one point per automorphism orbit of p (a copy
-    with m at y gives one with m at any image of y), and every later
-    point draws its candidates from the members above, below or
-    incomparable to m, split once per call.
+    creates_diamond.  Otherwise m is placed first, on one point per
+    automorphism orbit of p (a copy with m at y gives one with m at any
+    image of y), and every later point draws its candidates from the
+    members above, below or incomparable to m, split once per call.
     """
     if p is DIAMOND or p == DIAMOND:
         return creates_diamond(members, m)

@@ -23,8 +23,10 @@ and one tail that builds the witnesses; above the table limit the
 diamond takes the vector through-test ``detect.creates_diamond``: a few
 numpy passes over the member array per mask, with no 2^n table, up to
 n = 64.
-Greedy completion shares that test: it hands ``creates_diamond`` the
-member array, grown by appending as sets are accepted.
+Greedy completion for the diamond asks the scanner's tables about one
+candidate at a time and grows them in place for each accepted set; a
+rejection is final, since a copy through a set survives every later
+addition.
 
 Witnesses come in batches too, as rows of image masks: the diamond
 scanner finds every row of a batch in a few vector passes, and other
@@ -46,7 +48,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -269,9 +271,10 @@ _PAIR_BLOCK = 1 << 20
 
 
 def pair_generators(
-    members: tuple[int, ...], suptab: np.ndarray, subtab: np.ndarray
+    members: tuple[int, ...] | np.ndarray, suptab: np.ndarray, subtab: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Generators of the incomparable member pairs (i, j), i < j.
+    """Generators of the incomparable member pairs (i, j), i < j, of
+    members in canonical order.
 
     Returns (bottoms, tops), each int64 arrays (keys, pairs) in canonical
     key order: bottoms pairs c & d with the lexicographically least pair
@@ -323,7 +326,10 @@ class _DiamondScanner:
     lookups against the intersections/unions of incomparable member
     pairs that already have a common top/bottom; the middle role scans
     members once using subset/superset tables.  ``structure`` builds the
-    decomposition of a diamond-free family from the same tables.
+    decomposition of a diamond-free family from the same tables.  Greedy
+    completion tests one mask at a time (``creates``) and turns the
+    tables into those of the family plus an accepted mask in place
+    (``grow``).
     """
 
     def __init__(self, f: SetFamily):
@@ -331,12 +337,17 @@ class _DiamondScanner:
         self.subtab = subset_table(f.n, ms)
         self.suptab = superset_table(f.n, ms)
         self.member_array = np.array(ms, dtype=np.int64)
-        # generator keys in canonical order, and their member index pairs
-        (self.bottom_keys, self.bottom_pairs), (self.top_keys, self.top_pairs) = pair_generators(
-            ms, self.suptab, self.subtab
-        )
-        self.bottomable = superset_table(f.n, self.bottom_keys)
-        self.topable = subset_table(f.n, self.top_keys)
+        _, (bottom_keys, _), (top_keys, _) = self.generators
+        self.bottomable = superset_table(f.n, bottom_keys)
+        self.topable = subset_table(f.n, top_keys)
+
+    @cached_property
+    def generators(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """(members, (bottom_keys, bottom_pairs), (top_keys, top_pairs)):
+        the members in canonical order, and pair_generators over them.
+        grow drops them, so they are rebuilt on the next read."""
+        ms = self.member_array[canonical_permutation(self.member_array)]
+        return ms, *pair_generators(ms, self.suptab, self.subtab)
 
     def first_failure(self, batch: np.ndarray) -> int | None:
         """Position of the first mask in batch whose addition creates no
@@ -364,18 +375,18 @@ class _DiamondScanner:
         containing d | s.  Each "first" is one _first search over the
         rows of that role.
         """
-        ms = self.member_array
+        ms, (bottom_keys, bottom_pairs), (top_keys, top_pairs) = self.generators
         out = np.full((len(batch), 4), -1, dtype=np.int64)
         bottom = self.bottomable[batch]
         top = self.topable[batch] & ~bottom
         middle = ~(bottom | top)
         s = batch[bottom]
-        i, j = self.bottom_pairs[_first(s, self.bottom_keys, lambda x, g: x & g == x)].T
+        i, j = bottom_pairs[_first(s, bottom_keys, lambda x, g: x & g == x)].T
         union = ms[i] | ms[j]
         e = _first(union, ms, lambda u, m: m & u == u)
         out[bottom] = np.stack([s, ms[i], ms[j], ms[e]], axis=1)
         s = batch[top]
-        i, j = self.top_pairs[_first(s, self.top_keys, lambda x, g: x & g == g)].T
+        i, j = top_pairs[_first(s, top_keys, lambda x, g: x & g == g)].T
         inter = ms[i] & ms[j]
         b = _first(inter, ms, lambda v, m: m & v == m)
         out[top] = np.stack([ms[b], ms[i], ms[j], s], axis=1)
@@ -388,6 +399,79 @@ class _DiamondScanner:
         e = _first(union, ms, lambda u, m: m & u == u)
         out[np.flatnonzero(middle)[found]] = np.stack([ms[b], s, d, ms[e]], axis=1)
         return out
+
+    def creates(self, s: int) -> bool:
+        """Whether adding the missing mask s creates a diamond: the test
+        of first_failure for one mask."""
+        if self.bottomable[s] or self.topable[s]:
+            return True
+        # a middle lies above one member and below another
+        return bool(self.subtab[s] and self.suptab[s] and np.count_nonzero(self._middle(s, self.member_array)))
+
+    def grow(self, a: int) -> None:
+        """Turn the tables into those of f + {a}, for a missing mask a
+        whose addition creates no diamond.
+
+        The new bottom generators are a & d for each member d
+        incomparable to a with a common top, and c & d for each
+        incomparable pair of members strictly inside a, whose common top
+        a now is; the new top generators are dual.  All of them lie in a's
+        down-set or up-set, which hold every entry that changes, and a
+        generator already in its table has its closure there too, so the
+        cost does not grow with 2^n.  member_array takes a at its end.
+        """
+        ms = self.member_array
+        inter, union = ms & a, ms | a
+        inside, around = inter == ms, union == ms
+        incomparable = ~(inside | around)
+        # only generators not yet in their tables are kept; those with a
+        # need a member above a as their common top, those of pairs with
+        # a as their top need members inside a, and the tops are dual
+        bottoms, tops = [], []
+        if self.suptab[a]:
+            bottoms += inter[incomparable & self.suptab[union] & ~self.bottomable[inter]].tolist()
+            tops += _pair_keys(ms[around], np.bitwise_or, self.topable)
+        if self.subtab[a]:
+            tops += union[incomparable & self.subtab[inter] & ~self.topable[union]].tolist()
+            bottoms += _pair_keys(ms[inside], np.bitwise_and, self.bottomable)
+        _fill(self.subtab, a, up=True)
+        _fill(self.suptab, a, up=False)
+        for keys, table, up in ((bottoms, self.bottomable, False), (tops, self.topable, True)):
+            for k in keys:
+                if not table[k]:
+                    _fill(table, k, up)
+        self.member_array = np.concatenate((ms, [a]))
+        vars(self).pop("generators", None)
+
+
+def _pair_keys(xs: np.ndarray, op, table: np.ndarray) -> list[int]:
+    """op (np.bitwise_and or np.bitwise_or) of each incomparable pair of
+    xs whose entry in table is not set."""
+    if len(xs) < 2:
+        return []
+    col = xs[:, None]
+    inter, keys = col & xs, op(col, xs)
+    return keys[(inter != col) & (inter != xs) & ~table[keys]].tolist()
+
+
+@cache
+def _cube_indices(up: bool) -> list[tuple]:
+    """Cube indices of the eight bits of each byte value v, high bit
+    first: v's up-set fixes its set bits at 1 and leaves the others free,
+    its down-set leaves its set bits free and fixes the others at 0."""
+    every = slice(None)
+    inside, outside = (1, every) if up else (every, 0)
+    return [tuple(inside if v >> b & 1 else outside for b in range(7, -1, -1)) for v in range(256)]
+
+
+def _fill(table: np.ndarray, mask: int, up: bool) -> None:
+    """Set a 2^n table (n <= 24, three bytes of mask) at every superset
+    (up) or every subset of mask, in one strided write over the table
+    seen as a 2 x ... x 2 cube whose axis i is bit n - 1 - i."""
+    n = table.size.bit_length() - 1
+    index = _cube_indices(up)
+    cube = index[mask >> 16 & 255] + index[mask >> 8 & 255] + index[mask & 255]
+    table.reshape((2,) * n)[cube[24 - n:]] = True
 
 
 # Entries per (candidates, rows) matrix in _first.
@@ -545,29 +629,34 @@ def greedy_saturate(
     Candidates are all 2^n subsets in the requested order (``canonical``,
     ``reverse``, or seeded ``shuffle``); each set that keeps the family
     free is added.  After one pass the result is saturated: any rejected
-    set already created a copy against a subfamily of the result.
+    set already created a copy against a subfamily of the result.  The
+    diamond tests each candidate on the scanner's tables, grown in place
+    per accepted set; other patterns search for a copy through it.
     """
+    if order not in ("canonical", "reverse", "shuffle"):
+        raise ValueError(f"unknown order {order!r}")
     if f.n > MAX_FULL_N:
         raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
     masks = canonical_order(f.n).tolist()
-    if order == "canonical":
-        pass
-    elif order == "reverse":
+    if order == "reverse":
         masks.reverse()
     elif order == "shuffle":
         random.Random(seed).shuffle(masks)
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    # creates_diamond reads a uint64 array; appending to one spares a conversion per mask
-    diamond = p == DIAMOND
-    members = np.array(f.members, dtype=np.uint64) if diamond else f.members
     present = set(f.members)
-    for m in masks:
-        if m not in present and not creates_copy(members, m, p):
-            members = np.append(members, np.uint64(m)) if diamond else members + (m,)
-            present.add(m)
+    if p == DIAMOND:
+        scanner = _DiamondScanner(f)
+        for m in masks:
+            if m not in present and not scanner.creates(m):
+                scanner.grow(m)
+                present.add(m)
+    else:
+        members = f.members
+        for m in masks:
+            if m not in present and not creates_copy(members, m, p):
+                members += (m,)
+                present.add(m)
     return SetFamily(f.n, tuple(present))
 
 

@@ -171,12 +171,11 @@ def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decompositio
             raise NotDiamondFreeError(witness)
         tables = _DiamondScanner(f)
     full = f.full_mask
-    A, B0, B1, B, GB, W, mA, b_witnesses = _primal_parts(
-        f, tables.suptab, tables.bottom_keys, tables.bottomable
-    )
+    _, (bottom_keys, _), (top_keys, _) = tables.generators
+    A, B0, B1, B, GB, W, mA, b_witnesses = _primal_parts(f, tables.suptab, bottom_keys, tables.bottomable)
     # the complement family's parts, complemented back
     *parts, Wbar, _, witnesses = _primal_parts(
-        complement_family(f), tables.subtab[::-1], full ^ tables.top_keys, tables.topable[::-1]
+        complement_family(f), tables.subtab[::-1], full ^ top_keys, tables.topable[::-1]
     )
     X, Y0, Y1, Y, HY = (SetFamily(f.n, tuple(full ^ m for m in g.members)) for g in parts)
     y_witnesses = {full ^ b: (full ^ c, full ^ d, full ^ e) for b, (c, d, e) in witnesses.items()}

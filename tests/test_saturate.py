@@ -549,18 +549,107 @@ def test_greedy_diamond_completions_are_pinned(n):
     assert digest.hexdigest()[:16] == GREEDY_DIGESTS[n]
 
 
-@given(st.integers(1, 4), st.integers(0, 999))
-@settings(max_examples=30, deadline=None)
-def test_greedy_diamond_matches_the_pairwise_test(n, seed):
-    # a greedy pass over the oracle's quadruple loop, as the reference;
-    # its cost grows as |f|^4 per mask, so n stays at 4 or below
+def _greedy_order(n, order, seed):
+    """The candidate order of greedy_saturate, built from member_key."""
     masks = sorted(range(1 << n), key=member_key)
-    random.Random(seed).shuffle(masks)
-    g = SetFamily(n)
-    for m in masks:
+    if order == "reverse":
+        masks.reverse()
+    elif order == "shuffle":
+        random.Random(seed).shuffle(masks)
+    return masks
+
+
+@given(st.integers(1, 4), st.sampled_from(["canonical", "reverse", "shuffle"]), st.integers(0, 999), st.data())
+@settings(max_examples=60, deadline=None)
+def test_greedy_diamond_matches_the_pairwise_test(n, order, seed, data):
+    # a greedy pass over the oracle's quadruple loop, as the reference;
+    # its cost grows as |f|^4 per mask, so n stays at 4 or below.  The
+    # start is empty or a random subfamily of a greedy completion (free,
+    # as freeness is closed downward), so the scanner's tables begin
+    # with generators of their own
+    pool = greedy_saturate(SetFamily(n), D, order="shuffle", seed=seed + 1).members
+    start = SetFamily(n, tuple(data.draw(st.lists(st.sampled_from(pool), unique=True))))
+    assert not oracles.has_induced(start, D)
+    g = start
+    for m in _greedy_order(n, order, seed):
         if m not in g and not oracles.diamond_through(g, m):
             g = g.add(m)
-    assert greedy_saturate(SetFamily(n), D, order="shuffle", seed=seed) == g
+    assert greedy_saturate(start, D, order=order, seed=seed) == g
+
+
+def _seeded_starts(n):
+    """Five free starts over [n]: random subfamilies of shuffled greedy
+    completions, of random size."""
+    for seed in range(5):
+        g = greedy_saturate(SetFamily(n), D, order="shuffle", seed=seed)
+        rng = random.Random(seed)
+        yield SetFamily(n, tuple(rng.sample(g.members, rng.randrange(len(g) + 1))))
+
+
+# sha256 prefixes of the greedy diamond completions of _seeded_starts(n)
+# in the canonical, reverse and shuffle (seed 100 + start) orders, as the
+# completion that called creates_diamond per candidate gave them
+SEEDED_GREEDY_DIGESTS = {
+    6: "04da450f2916036c", 7: "587aa4556bd9c5c7", 8: "93b36fb7708811d2", 9: "1c18afc41d84e0f4",
+    10: "8ca21f0fca76a337",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEEDED_GREEDY_DIGESTS))
+def test_seeded_greedy_diamond_completions_are_pinned(n):
+    digest = hashlib.sha256()
+    for i, start in enumerate(_seeded_starts(n)):
+        for order, seed in [("canonical", 0), ("reverse", 0), ("shuffle", i + 100)]:
+            g = greedy_saturate(start, D, order=order, seed=seed)
+            digest.update(repr((start.members, order, seed, g.members)).encode())
+    assert digest.hexdigest()[:16] == SEEDED_GREEDY_DIGESTS[n]
+
+
+def test_greedy_checks_the_order_before_building_candidates(monkeypatch):
+    # the candidate list holds 2^n masks: 221 MB at n = 22
+    def refuse(n):
+        raise AssertionError("candidates built before the order was checked")
+
+    monkeypatch.setattr(saturate, "canonical_order", refuse)
+    with pytest.raises(ValueError, match="unknown order 'sideways'"):
+        greedy_saturate(SetFamily(22), D, order="sideways")
+
+
+@st.composite
+def free_families(draw):
+    """Diamond-free families over n <= 8: random subfamilies of greedy
+    completions in every order, empty and saturated ones included."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from(["canonical", "reverse", "shuffle"]))
+    pool = greedy_saturate(SetFamily(n), D, order=order, seed=draw(st.integers(0, 999))).members
+    return SetFamily(n, tuple(draw(st.lists(st.sampled_from(pool), unique=True))))
+
+
+@given(free_families(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_grown_scanner_equals_a_fresh_one(f, data):
+    # grow by up to three sets that create no diamond (by creates_diamond,
+    # which reads no table), each after the witnesses were built once
+    scanner = saturate._DiamondScanner(f)
+    for _ in range(data.draw(st.integers(1, 3))):
+        free = [m for m in range(1 << f.n) if m not in f and not creates_diamond(f.members, m)]
+        if not free:
+            break
+        scanner.witnesses(np.zeros(1, dtype=np.int64))
+        a = data.draw(st.sampled_from(free))
+        scanner.grow(a)
+        f = f.add(a)
+    fresh = saturate._DiamondScanner(f)
+    for name in ("subtab", "suptab", "bottomable", "topable"):
+        assert np.array_equal(getattr(scanner, name), getattr(fresh, name)), name
+    assert sorted(scanner.member_array.tolist(), key=member_key) == list(f.members)
+    missing = np.array(sorted((m for m in range(1 << f.n) if m not in f), key=member_key), dtype=np.int64)
+    for i, s in enumerate(missing.tolist()):
+        one = missing[i:i + 1]
+        assert scanner.first_failure(one) == fresh.first_failure(one)
+        assert scanner.creates(s) == (fresh.first_failure(one) is None)
+    assert scanner.first_failure(missing) == fresh.first_failure(missing)
+    assert np.array_equal(scanner.witnesses(missing), fresh.witnesses(missing))
 
 
 def test_greedy_generic_pattern():
