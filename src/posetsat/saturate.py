@@ -337,6 +337,8 @@ class _DiamondScanner:
         self.subtab = subset_table(f.n, ms)
         self.suptab = superset_table(f.n, ms)
         self.member_array = np.array(ms, dtype=np.int64)
+        # f's members come in canonical order already
+        self.generators = (self.member_array, *pair_generators(ms, self.suptab, self.subtab))
         _, (bottom_keys, _), (top_keys, _) = self.generators
         self.bottomable = superset_table(f.n, bottom_keys)
         self.topable = subset_table(f.n, top_keys)
@@ -345,7 +347,8 @@ class _DiamondScanner:
     def generators(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """(members, (bottom_keys, bottom_pairs), (top_keys, top_pairs)):
         the members in canonical order, and pair_generators over them.
-        grow drops them, so they are rebuilt on the next read."""
+        __init__ sets them; grow drops them, so a grown scanner rebuilds
+        them on the next read."""
         ms = self.member_array[canonical_permutation(self.member_array)]
         return ms, *pair_generators(ms, self.suptab, self.subtab)
 
@@ -415,43 +418,56 @@ class _DiamondScanner:
         The new bottom generators are a & d for each member d
         incomparable to a with a common top, and c & d for each
         incomparable pair of members strictly inside a, whose common top
-        a now is; the new top generators are dual.  All of them lie in a's
-        down-set or up-set, which hold every entry that changes, and a
-        generator already in its table has its closure there too, so the
-        cost does not grow with 2^n.  member_array takes a at its end.
+        a now is; a member above a would have been a common top of those
+        pairs already, so they are new only when there is none.  The new
+        top generators are dual.  All of them lie in a's down-set or
+        up-set, which hold every entry that changes, and a generator
+        already in its table has its closure there too, so the cost does
+        not grow with 2^n.  member_array takes a at its end.
         """
         ms = self.member_array
         inter, union = ms & a, ms | a
         inside, around = inter == ms, union == ms
         incomparable = ~(inside | around)
-        # only generators not yet in their tables are kept; those with a
-        # need a member above a as their common top, those of pairs with
-        # a as their top need members inside a, and the tops are dual
-        bottoms, tops = [], []
-        if self.suptab[a]:
-            bottoms += inter[incomparable & self.suptab[union] & ~self.bottomable[inter]].tolist()
-            tops += _pair_keys(ms[around], np.bitwise_or, self.topable)
-        if self.subtab[a]:
-            tops += union[incomparable & self.subtab[inter] & ~self.topable[union]].tolist()
-            bottoms += _pair_keys(ms[inside], np.bitwise_and, self.bottomable)
+        above, below = self.suptab[a], self.subtab[a]
+        if above:
+            _fill_closures(self.bottomable, inter[incomparable & self.suptab[union]], up=False)
+            if not below:
+                for keys in _pair_keys(ms[around], np.bitwise_or):
+                    _fill_closures(self.topable, keys, up=True)
+        if below:
+            _fill_closures(self.topable, union[incomparable & self.subtab[inter]], up=True)
+            if not above:
+                for keys in _pair_keys(ms[inside], np.bitwise_and):
+                    _fill_closures(self.bottomable, keys, up=False)
         _fill(self.subtab, a, up=True)
         _fill(self.suptab, a, up=False)
-        for keys, table, up in ((bottoms, self.bottomable, False), (tops, self.topable, True)):
-            for k in keys:
-                if not table[k]:
-                    _fill(table, k, up)
         self.member_array = np.concatenate((ms, [a]))
         vars(self).pop("generators", None)
 
 
-def _pair_keys(xs: np.ndarray, op, table: np.ndarray) -> list[int]:
-    """op (np.bitwise_and or np.bitwise_or) of each incomparable pair of
-    xs whose entry in table is not set."""
-    if len(xs) < 2:
-        return []
-    col = xs[:, None]
-    inter, keys = col & xs, op(col, xs)
-    return keys[(inter != col) & (inter != xs) & ~table[keys]].tolist()
+def _pair_keys(xs: np.ndarray, op):
+    """op (np.bitwise_and or np.bitwise_or) of the incomparable pairs of
+    xs, in row blocks of about _PAIR_BLOCK pairs, as pair_generators
+    takes them."""
+    step = max(1, _PAIR_BLOCK // max(len(xs), 1))
+    for r0 in range(0, len(xs) - 1, step):
+        col, row = xs[r0:r0 + step, None], xs[r0 + 1:]
+        inter = col & row
+        yield op(col, row)[(inter != col) & (inter != row)]
+
+
+def _fill_closures(table: np.ndarray, keys: np.ndarray, up: bool) -> None:
+    """Set table on the up-set (up) or the down-set of each key not yet
+    set in it.  The table is closed, so a key set there has its closure
+    set too; wider closures go first, so a key that one of them covers
+    is skipped."""
+    fresh = keys[~table[keys]]
+    if not len(fresh):
+        return
+    for k in sorted(np.unique(fresh).tolist(), key=int.bit_count, reverse=not up):
+        if not table[k]:
+            _fill(table, k, up)
 
 
 @cache

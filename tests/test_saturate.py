@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections.abc import Mapping
 from unittest import mock
 
@@ -613,6 +614,25 @@ def test_greedy_checks_the_order_before_building_candidates(monkeypatch):
     monkeypatch.setattr(saturate, "canonical_order", refuse)
     with pytest.raises(ValueError, match="unknown order 'sideways'"):
         greedy_saturate(SetFamily(22), D, order="sideways")
+
+
+@pytest.mark.parametrize(
+    "order, digest", [("canonical", "04acfc6e6efaffbf"), ("shuffle", "f8d5d3a60613551c")], ids=["canonical", "shuffle"]
+)
+def test_greedy_from_the_middle_layer_over_14_runs_in_bounded_memory(order, digest):
+    # an antichain of 3,432 members: accepting {} makes every pair of
+    # them a new top generator, 11.8M pairs, which grow must take in
+    # blocks.  The digests are sha256 prefixes of the completions the
+    # per-candidate creates_diamond gave
+    middle = SetFamily(14, tuple(m for m in range(1 << 14) if m.bit_count() == 7))
+    tracemalloc.start()
+    try:
+        g = greedy_saturate(middle, D, order=order, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(repr(g.members).encode()).hexdigest()[:16] == digest
+    assert peak < 96 << 20
 
 
 @st.composite
