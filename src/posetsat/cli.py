@@ -77,10 +77,8 @@ def _load_pattern(spec: str) -> PatternPoset:
 def _parse_mode(mode: str) -> tuple[str, int]:
     if mode == "full":
         return "full", 0
-    if mode.startswith("spot:"):
-        arg = mode[len("spot:"):]
-        if not arg.isdigit() or int(arg) < 1:
-            raise PatternFormatError(f"bad mode {mode!r}; expected full or spot:<k>")
+    arg = mode.removeprefix("spot:")
+    if arg != mode and arg.isdecimal() and int(arg) >= 1:
         return "spot", int(arg)
     raise PatternFormatError(f"bad mode {mode!r}; expected full or spot:<k>")
 

@@ -24,11 +24,12 @@ witness, so it puts s first, on one point per automorphism orbit only;
 ``find_induced_using`` and the certificates pin s at point 0, 1, ... of
 the linear extension in turn, for the lexicographically least witness.
 The diamond's through-test ``creates_diamond`` is a few vector passes
-per role of s over a member array; it serves spot mode above the table
-limit, where the scanner of ``saturate`` builds no tables.  For the
-exact search at n <= 6,
-``diamond_blocked`` answers it for every mask at once, as one family
-word of the masks that create a diamond, over a whole batch of families.
+per role of s over a member array, with find_diamond's blocked pair
+search for the bottom and top roles; it serves ``saturate`` above the
+table limit, where the scanner builds no tables.  For the exact search
+at n <= 6, ``diamond_blocked`` answers it for every mask at once, as one
+family word of the masks that create a diamond, over a whole batch of
+families.
 ``copy_blocked`` does the same for any pattern from a table of the
 family words of its induced copies in 2^[n], built once per (n, pattern)
 by a depth-first extension along the linear extension: a copy lacking
@@ -430,7 +431,9 @@ def creates_diamond(members, m: int) -> bool:
     Each role of m is a few vector passes: as a middle, some member
     incomparable to m contains a member inside m and lies inside one
     containing m; as a bottom, two incomparable supersets of m lie inside
-    a third; as a top, so do the complements of two subsets of m.
+    a third; as a top, so do the complements of two subsets of m.  Both
+    of these are find_diamond's blocked pair search, which stops at the
+    first pair.
     """
     ms = np.asarray(members, dtype=np.uint64)
     m = np.uint64(m)
@@ -443,25 +446,7 @@ def creates_diamond(members, m: int) -> bool:
         mid = mid[((mid & sups[:, None]) == mid).any(0)]
         if ((mid & subs[:, None]) == subs[:, None]).any():
             return True
-    return _has_topped_pair(sups) or _has_topped_pair(~subs)
-
-
-def _has_topped_pair(xs: np.ndarray) -> bool:
-    """Whether two incomparable masks of xs lie inside a third one of xs.
-
-    Up to 64 masks one containment product answers in fewer numpy calls
-    than find_diamond's blocked search; above that, the blocked search,
-    which stops at the first pair and bounds its memory, is faster.
-    """
-    if len(xs) < 3:
-        return False
-    if len(xs) > 64:
-        return _first_topped_pair(xs) is not None
-    inside = (xs & xs[:, None]) == xs[:, None]  # inside[i, k]: xs[i] is inside xs[k]
-    incomparable = ~(inside | inside.T)
-    # a common superset of an incomparable pair is strictly above both
-    up = inside.astype(np.float32)
-    return bool((up @ up.T)[incomparable].any())
+    return any(len(xs) > 2 and _first_topped_pair(xs) is not None for xs in (sups, ~subs))
 
 
 @lru_cache(maxsize=None)

@@ -7,34 +7,34 @@ subsets in canonical (cardinality, value) order (capped at n <= 24);
 spot mode samples missing subsets uniformly and is clearly labeled
 non-exhaustive unless the sample covers every missing subset.
 
+One scanner answers "does adding s create a copy?" for both modes and
+for greedy completion, through one interface: ``creates`` for one
+mask, ``first_failure`` for a batch, ``witnesses`` for a batch's rows
+of image masks, ``grow`` for an accepted mask, and the ``pattern`` the
+witnesses name.  ``_scanner`` picks :class:`_DiamondScanner` for the
+diamond up to the table limit: lookup tables that test a batch in one
+vector pass and find its witnesses in a few.  Everything else takes
+:class:`_CopyScanner`, one ``detect.creates_copy`` and one through-search
+per mask, with no 2^n table, so it also serves the diamond up to
+n = 64.  Either names DIAMOND in the witnesses of any pattern equal to
+it, as ``find_diamond`` does in a NOT_FREE witness.
+
 The full scan takes the missing subsets from the cardinality layers of
 ``families`` less the members, in numpy batches that start at 2^12
 masks and double up to a fixed cap, so a family that fails early stops
-early while a long scan pays numpy's per-call overhead rarely.  For the
-diamond each batch is tested in one vector pass over the scanner's
-lookup tables, whose pair generators are arrays sorted by
-``families.canonical_permutation``; other patterns test the masks of a
-batch one at a time with ``detect.creates_copy``.  The scan stops at the
-first batch holding a failure, and the report names the canonical first
-failure, so verdict and evidence never depend on batch boundaries.
-Spot mode draws its sample, sorts it into the same canonical order and
-feeds it as one batch to the same loop, so both modes share one scan
-and one tail that builds the witnesses; above the table limit the
-diamond takes the vector through-test ``detect.creates_diamond``: a few
-numpy passes over the member array per mask, with no 2^n table, up to
-n = 64.
-Greedy completion for the diamond asks the scanner's tables about one
-candidate at a time and grows them in place for each accepted set; a
-rejection is final, since a copy through a set survives every later
-addition.
+early while a long scan pays numpy's per-call overhead rarely.  The
+scan stops at the first batch holding a failure, and the report names
+the canonical first failure, so verdict and evidence never depend on
+batch boundaries.  Spot mode draws its sample, sorts it into the same
+canonical order and feeds it as one batch to the same loop; a sample
+as large as the missing sets takes them all, with no draw.  Greedy
+completion asks the scanner about one candidate at a time and grows it
+by each accepted set; a rejection is final, since a copy through a set
+survives every later addition.
 
-Witnesses come in batches too, as rows of image masks: the diamond
-scanner finds every row of a batch in a few vector passes, and other
-patterns take each row straight from the through-search behind
-``detect.find_induced_using``, with no extended family per mask.  A full
-certificate keeps only those rows (:class:`Certificate`) and builds the
-:class:`Embedding` into f + {s} of an entry when it is read; the
-sample's few embeddings are built from rows the same way.  Every
+A full certificate keeps only the witness rows (:class:`Certificate`)
+and builds the :class:`Embedding` into f + {s} of an entry when it is
+read; the sample's few embeddings are built from rows the same way.  Every
 report is re-validated before it is returned: a NOT_FREE witness and
 the sample entry by entry with ``detect.validate_embedding``, and the
 certificate rows in one vector pass of ``detect.first_invalid_row``,
@@ -48,7 +48,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -217,11 +217,15 @@ class SaturationReport:
         return None if self.certificate is None else self.certificate.first_fault()
 
 
+def _find_copy(f: SetFamily, p: PatternPoset) -> Embedding | None:
+    """First induced copy of p inside f: find_diamond for the diamond,
+    find_induced otherwise."""
+    return find_diamond(f) if p == DIAMOND else find_induced(f, p)
+
+
 def is_free(f: SetFamily, p: PatternPoset) -> bool:
-    """True iff f contains no induced copy of p (witness via find_induced)."""
-    if p == DIAMOND:
-        return find_diamond(f) is None
-    return find_induced(f, p) is None
+    """True iff f contains no induced copy of p."""
+    return _find_copy(f, p) is None
 
 
 def _missing_layers(f: SetFamily):
@@ -252,18 +256,6 @@ def _missing_batches(f: SetFamily):
                 size, parts, count = min(2 * size, _MAX_BATCH), [], 0
     if parts:
         yield np.concatenate(parts)
-
-
-def _scalar_failure(creates):
-    """Batch test from a per-mask predicate: first failing position or None."""
-
-    def first_failure(batch: np.ndarray) -> int | None:
-        for i, m in enumerate(batch.tolist()):
-            if not creates(m):
-                return i
-        return None
-
-    return first_failure
 
 
 # Pairs per block in pair_generators (each temporary stays near 8 MB).
@@ -329,8 +321,12 @@ class _DiamondScanner:
     decomposition of a diamond-free family from the same tables.  Greedy
     completion tests one mask at a time (``creates``) and turns the
     tables into those of the family plus an accepted mask in place
-    (``grow``).
+    (``grow``).  ``bottoms`` and ``tops`` hold pair_generators over f,
+    which only ``witnesses`` and ``structure`` read; ``grow`` drops them,
+    so a grown scanner answers ``creates`` and ``first_failure`` only.
     """
+
+    pattern = DIAMOND
 
     def __init__(self, f: SetFamily):
         ms = f.members
@@ -338,19 +334,9 @@ class _DiamondScanner:
         self.suptab = superset_table(f.n, ms)
         self.member_array = np.array(ms, dtype=np.int64)
         # f's members come in canonical order already
-        self.generators = (self.member_array, *pair_generators(ms, self.suptab, self.subtab))
-        _, (bottom_keys, _), (top_keys, _) = self.generators
-        self.bottomable = superset_table(f.n, bottom_keys)
-        self.topable = subset_table(f.n, top_keys)
-
-    @cached_property
-    def generators(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """(members, (bottom_keys, bottom_pairs), (top_keys, top_pairs)):
-        the members in canonical order, and pair_generators over them.
-        __init__ sets them; grow drops them, so a grown scanner rebuilds
-        them on the next read."""
-        ms = self.member_array[canonical_permutation(self.member_array)]
-        return ms, *pair_generators(ms, self.suptab, self.subtab)
+        self.bottoms, self.tops = pair_generators(ms, self.suptab, self.subtab)
+        self.bottomable = superset_table(f.n, self.bottoms[0])
+        self.topable = subset_table(f.n, self.tops[0])
 
     def first_failure(self, batch: np.ndarray) -> int | None:
         """Position of the first mask in batch whose addition creates no
@@ -378,7 +364,7 @@ class _DiamondScanner:
         containing d | s.  Each "first" is one _first search over the
         rows of that role.
         """
-        ms, (bottom_keys, bottom_pairs), (top_keys, top_pairs) = self.generators
+        ms, (bottom_keys, bottom_pairs), (top_keys, top_pairs) = self.member_array, self.bottoms, self.tops
         out = np.full((len(batch), 4), -1, dtype=np.int64)
         bottom = self.bottomable[batch]
         top = self.topable[batch] & ~bottom
@@ -423,7 +409,8 @@ class _DiamondScanner:
         top generators are dual.  All of them lie in a's down-set or
         up-set, which hold every entry that changes, and a generator
         already in its table has its closure there too, so the cost does
-        not grow with 2^n.  member_array takes a at its end.
+        not grow with 2^n.  member_array takes a at its end, and the
+        generators of f, no longer current, are dropped.
         """
         ms = self.member_array
         inter, union = ms & a, ms | a
@@ -443,7 +430,7 @@ class _DiamondScanner:
         _fill(self.subtab, a, up=True)
         _fill(self.suptab, a, up=False)
         self.member_array = np.concatenate((ms, [a]))
-        vars(self).pop("generators", None)
+        self.bottoms = self.tops = None
 
 
 def _pair_keys(xs: np.ndarray, op):
@@ -524,18 +511,48 @@ def _first(xs: np.ndarray, cands: np.ndarray, pred) -> np.ndarray:
     return out
 
 
-def _search_witnesses(f: SetFamily, p: PatternPoset, batch: np.ndarray) -> np.ndarray:
-    """(len(batch), p.size) image masks of find_induced_using's copy
-    through each mask, in batch's dtype.
-
-    Raises InternalCheckError for a mask with no copy through it: at
-    n = 64 every uint64 value is a mask, so no row value can mark it.
+class _CopyScanner:
+    """The through-test of any pattern behind _DiamondScanner's interface,
+    one mask at a time: ``creates`` is detect.creates_copy, and each
+    witness row is the image masks of the through-search behind
+    detect.find_induced_using.  It builds no table, so it serves the
+    diamond above the table limit, up to n = 64, as well.
     """
-    plans = _pinned_plans(p)
-    rows = [_through(f.members, s, plans) for s in batch.tolist()]
-    if None in rows:
-        raise InternalCheckError(f"no witness found through {elements_of(int(batch[rows.index(None)]))}")
-    return np.array(rows, dtype=batch.dtype).reshape(len(batch), p.size)
+
+    def __init__(self, f: SetFamily, p: PatternPoset):
+        self.members = f.members
+        self.pattern = p
+
+    def creates(self, s: int) -> bool:
+        return creates_copy(self.members, s, self.pattern)
+
+    def first_failure(self, batch: np.ndarray) -> int | None:
+        return next((i for i, s in enumerate(batch.tolist()) if not self.creates(s)), None)
+
+    def witnesses(self, batch: np.ndarray) -> np.ndarray:
+        """(len(batch), pattern.size) image masks, in batch's dtype.
+
+        Raises InternalCheckError for a mask with no copy through it: at
+        n = 64 every uint64 value is a mask, so no row value can mark it.
+        """
+        plans = _pinned_plans(self.pattern)
+        rows = [_through(self.members, s, plans) for s in batch.tolist()]
+        if None in rows:
+            raise InternalCheckError(f"no witness found through {elements_of(int(batch[rows.index(None)]))}")
+        return np.array(rows, dtype=batch.dtype).reshape(len(batch), self.pattern.size)
+
+    def grow(self, a: int) -> None:
+        self.members += (a,)
+
+
+def _scanner(f: SetFamily, p: PatternPoset) -> _DiamondScanner | _CopyScanner:
+    """The through-test scanner of a p-free family f: the tables for the
+    diamond up to MAX_TABLE_N, the per-mask search otherwise.  Like
+    find_diamond's, its witnesses name DIAMOND as their pattern for any
+    pattern equal to it, whatever name that was given."""
+    if p != DIAMOND:
+        return _CopyScanner(f, p)
+    return _DiamondScanner(f) if f.n <= MAX_TABLE_N else _CopyScanner(f, DIAMOND)
 
 
 def is_saturated(
@@ -558,8 +575,8 @@ def is_saturated(
 
 
 def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, certificate=False):
-    """is_saturated's report and the diamond scanner whose tables decided
-    it: None when f is not free or the scan used no tables."""
+    """is_saturated's report and the scanner that decided it, None when
+    f is not free."""
     if mode not in ("full", "spot"):
         raise ValueError(f"mode must be 'full' or 'spot', got {mode!r}")
     if mode == "full" and f.n > MAX_FULL_N:
@@ -567,39 +584,33 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
     if mode == "spot" and spot < 1:
         raise ValueError(f"spot mode needs a sample of at least 1, got {spot}")
 
-    inner = find_diamond(f) if p == DIAMOND else find_induced(f, p)
+    inner = _find_copy(f, p)
     if inner is not None:
         return _validated(SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner)), None
 
-    scanner = None
-    if p != DIAMOND or f.n > MAX_TABLE_N:
-        first_failure = _scalar_failure(partial(creates_copy, f.members, p=p))
-        witnesses, shape = partial(_search_witnesses, f, p), p
-    else:
-        scanner = _DiamondScanner(f)
-        # like find_diamond's, the scanner's embeddings name DIAMOND as
-        # their pattern, whatever name p was given
-        first_failure, witnesses, shape = scanner.first_failure, scanner.witnesses, DIAMOND
-
+    scanner = _scanner(f, p)
     if mode == "spot":
-        rng = random.Random(seed)
-        total_missing = (1 << f.n) - len(f)
-        k = min(spot, total_missing)
-        chosen: set[int] = set()
-        while len(chosen) < k:
-            m = rng.getrandbits(f.n)
-            if m not in f and m not in chosen:
-                chosen.add(m)
-        # the scanner's rows are int64; above its tables masks of [64] reach 2^63
+        # the table scanner's rows are int64; above its tables masks of [64] reach 2^63
         dtype = np.int64 if f.n <= MAX_TABLE_N else np.uint64
-        batches = [np.array(sorted(chosen, key=member_key), dtype=dtype)]
-        exhaustive, certificate = k == total_missing, False
+        exhaustive, certificate = spot >= (1 << f.n) - len(f), False
+        if exhaustive:
+            # every missing mask, in canonical order already: nothing to draw
+            sample = np.concatenate(list(_missing_layers(f))).astype(dtype)
+        else:
+            rng = random.Random(seed)
+            chosen: set[int] = set()
+            while len(chosen) < spot:
+                m = rng.getrandbits(f.n)
+                if m not in f and m not in chosen:
+                    chosen.add(m)
+            sample = np.array(sorted(chosen, key=member_key), dtype=dtype)
+        batches = [sample]
     else:
         batches, exhaustive, seed = _missing_batches(f), True, None
 
     checked, missing, passed = 0, None, []
     for batch in batches:
-        bad = first_failure(batch)
+        bad = scanner.first_failure(batch)
         if bad is not None:
             # a spot report counts its whole sample as checked
             checked += len(batch) if mode == "spot" else bad + 1
@@ -618,12 +629,12 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
         # missing (or sampled) masks in canonical order
         added = np.concatenate(passed) if passed else np.empty(0, dtype=np.int64)
         added = added if certificate else added[:_SAMPLE_LIMIT]
-        images = witnesses(added)
-        # the scanner marks a mask without a witness by a row of -1s
+        images = scanner.witnesses(added)
+        # the table scanner marks a mask without a witness by a row of -1s
         lost = np.flatnonzero((images < 0).any(1))
         if len(lost):
             raise InternalCheckError(f"no witness found through {elements_of(int(added[lost[0]]))}")
-        cert = Certificate(f, shape, added, images)
+        cert = Certificate(f, scanner.pattern, added, images)
         report.sample = tuple(cert.entry(r) for r in range(min(_SAMPLE_LIMIT, len(cert))))
         report.certificate = cert if certificate else None
     return _validated(report), scanner
@@ -645,9 +656,11 @@ def greedy_saturate(
     Candidates are all 2^n subsets in the requested order (``canonical``,
     ``reverse``, or seeded ``shuffle``); each set that keeps the family
     free is added.  After one pass the result is saturated: any rejected
-    set already created a copy against a subfamily of the result.  The
-    diamond tests each candidate on the scanner's tables, grown in place
-    per accepted set; other patterns search for a copy through it.
+    set already created a copy against a subfamily of the result.  Each
+    candidate is one ``creates`` of the scanner, which grows by each
+    accepted set; for the diamond that is a lookup in tables grown in
+    place.  The scanner starts from the empty family, whose tables need
+    no pair pass, and takes f's members as accepted sets first.
     """
     if order not in ("canonical", "reverse", "shuffle"):
         raise ValueError(f"unknown order {order!r}")
@@ -660,19 +673,14 @@ def greedy_saturate(
         masks.reverse()
     elif order == "shuffle":
         random.Random(seed).shuffle(masks)
+    scanner = _scanner(SetFamily(f.n), p)
+    for m in f.members:
+        scanner.grow(m)
     present = set(f.members)
-    if p == DIAMOND:
-        scanner = _DiamondScanner(f)
-        for m in masks:
-            if m not in present and not scanner.creates(m):
-                scanner.grow(m)
-                present.add(m)
-    else:
-        members = f.members
-        for m in masks:
-            if m not in present and not creates_copy(members, m, p):
-                members += (m,)
-                present.add(m)
+    for m in masks:
+        if m not in present and not scanner.creates(m):
+            scanner.grow(m)
+            present.add(m)
     return SetFamily(f.n, tuple(present))
 
 

@@ -171,7 +171,7 @@ def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decompositio
             raise NotDiamondFreeError(witness)
         tables = _DiamondScanner(f)
     full = f.full_mask
-    _, (bottom_keys, _), (top_keys, _) = tables.generators
+    (bottom_keys, _), (top_keys, _) = tables.bottoms, tables.tops
     A, B0, B1, B, GB, W, mA, b_witnesses = _primal_parts(f, tables.suptab, bottom_keys, tables.bottomable)
     # the complement family's parts, complemented back
     *parts, Wbar, _, witnesses = _primal_parts(

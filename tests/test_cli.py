@@ -139,6 +139,14 @@ def test_check_data_errors(tmp_path, capsys):
         assert code == 65 and out == ""
 
 
+@pytest.mark.parametrize("mode", ["spot:0", "spot:", "spot:x", "spot:-3", "spot:²", "spot", "full:4", "sample:4"])
+def test_a_bad_mode_is_one_data_error(tmp_path, capsys, mode):
+    chain = write(tmp_path, "chain", chain_family(3))
+    code, out, err = run(capsys, "check", "--family", chain, "--pattern", "diamond", "--mode", mode)
+    assert code == 65 and out == ""
+    assert err == f"posetsat: data error: bad mode {mode!r}; expected full or spot:<k>\n"
+
+
 def test_unreadable_inputs_are_data_errors(tmp_path, capsys):
     # a directory and a file that is not UTF-8, as a family and as a pattern
     folder = tmp_path / "dir.poset"

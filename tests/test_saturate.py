@@ -102,6 +102,57 @@ def test_spot_mode_covering_every_missing_set_is_exhaustive():
     assert is_saturated(f, D, mode="spot", spot=10).exhaustive is False
 
 
+@pytest.mark.parametrize(
+    "f, p",
+    [(chain_family(4), D), (SetFamily(4, (0, 3)), D), (chain_family(3), make_v())],
+    ids=["saturated", "not-saturated", "v"],
+)
+def test_an_exhaustive_spot_sample_draws_nothing(monkeypatch, f, p):
+    # the sample is every missing set, in the canonical order a drawn and
+    # sorted one would take, so the report is full mode's
+    full = is_saturated(f, p, mode="full").to_json()
+    missing = (1 << f.n) - len(f)
+    monkeypatch.setattr(random.Random, "getrandbits", mock.Mock(side_effect=AssertionError("drew a mask")))
+    for spot in (missing, missing + 1):
+        rep = is_saturated(f, p, mode="spot", spot=spot, seed=5)
+        assert rep.to_json() == {**full, "mode": "spot", "seed": 5, "checked": missing}
+
+
+@pytest.mark.parametrize(
+    "scanner, f, p, mode",
+    [
+        ("_DiamondScanner", SetFamily(4, (0,)), D, "full"),
+        ("_CopyScanner", SetFamily(4, (0,)), make_v(), "full"),
+        ("_CopyScanner", SetFamily(30, (0,)), D, "spot"),
+    ],
+    ids=["table", "per-mask", "per-mask-above-the-tables"],
+)
+def test_a_passed_mask_without_a_witness_is_an_internal_error(monkeypatch, scanner, f, p, mode):
+    # every mask passes the scan, though no copy goes through any of them
+    monkeypatch.setattr(getattr(saturate, scanner), "first_failure", lambda self, batch: None)
+    assert isinstance(saturate._scanner(f, p), getattr(saturate, scanner))
+    with pytest.raises(saturate.InternalCheckError, match=r"no witness found through \("):
+        is_saturated(f, p, mode=mode, spot=8, seed=1)
+
+
+@pytest.mark.parametrize(
+    "f, mode",
+    [(SetFamily(2, (0, 1, 2, 3)), "full"), (chain_family(4), "full"), (chain_family(4), "spot"),
+     (chain_family(30), "spot")],
+    ids=["not-free", "full", "spot", "spot-above-the-tables"],
+)
+def test_witnesses_of_a_pattern_equal_to_the_diamond_name_the_diamond(f, mode):
+    unnamed = dataclasses.replace(D, name="")
+    assert unnamed == D and unnamed.label == "poset:4"
+    rep = is_saturated(f, unnamed, mode=mode, spot=8, seed=1, certificate=mode == "full")
+    out = rep.to_json()
+    assert out["pattern"] == "poset:4"
+    witnesses = [out["witness"]] if rep.verdict is Verdict.NOT_FREE else [e["witness"] for e in out["sample"]]
+    if rep.certificate is not None:
+        witnesses += [rep.certificate[m].to_json() for m in rep.certificate]
+    assert witnesses and {w["pattern"] for w in witnesses} == {"diamond"}
+
+
 def test_spot_mode_above_the_table_limit():
     rep = is_saturated(chain_family(30), D, mode="spot", spot=16, seed=3)
     assert rep.verdict is Verdict.SATURATED
@@ -649,13 +700,12 @@ def free_families(draw):
 @settings(max_examples=60, deadline=None)
 def test_a_grown_scanner_equals_a_fresh_one(f, data):
     # grow by up to three sets that create no diamond (by creates_diamond,
-    # which reads no table), each after the witnesses were built once
+    # which reads no table)
     scanner = saturate._DiamondScanner(f)
     for _ in range(data.draw(st.integers(1, 3))):
         free = [m for m in range(1 << f.n) if m not in f and not creates_diamond(f.members, m)]
         if not free:
             break
-        scanner.witnesses(np.zeros(1, dtype=np.int64))
         a = data.draw(st.sampled_from(free))
         scanner.grow(a)
         f = f.add(a)
@@ -669,7 +719,6 @@ def test_a_grown_scanner_equals_a_fresh_one(f, data):
         assert scanner.first_failure(one) == fresh.first_failure(one)
         assert scanner.creates(s) == (fresh.first_failure(one) is None)
     assert scanner.first_failure(missing) == fresh.first_failure(missing)
-    assert np.array_equal(scanner.witnesses(missing), fresh.witnesses(missing))
 
 
 def test_greedy_generic_pattern():
