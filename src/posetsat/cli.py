@@ -212,12 +212,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"posetsat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pattern_default=None):
+    def common(p):
         p.add_argument("--format", choices=("text", "json"), default="json")
-        if pattern_default is None:
-            p.add_argument("--pattern", required=True, help="keyword (chain:k, diamond, qk:k, v, lambda, antichain:k) or a .poset file")
-        else:
-            p.add_argument("--pattern", default=pattern_default)
+        p.add_argument("--pattern", required=True, help="keyword (chain:k, diamond, qk:k, v, lambda, antichain:k) or a .poset file")
 
     p = sub.add_parser("check", help="freeness/saturation verdict for a family file")
     p.add_argument("--family", required=True)

@@ -23,13 +23,12 @@ point's candidates from the matching list.  ``creates_copy`` needs no
 witness, so it puts s first, on one point per automorphism orbit only;
 ``find_induced_using`` and the certificates pin s at point 0, 1, ... of
 the linear extension in turn, for the lexicographically least witness.
-The diamond's through-test ``creates_diamond`` is a few vector passes
-per role of s over a member array, with find_diamond's blocked pair
-search for the bottom and top roles; it serves ``saturate`` above the
-table limit, where the scanner builds no tables.  For the exact search
-at n <= 6, ``diamond_blocked`` answers it for every mask at once, as one
-family word of the masks that create a diamond, over a whole batch of
-families.
+``creates_copy`` is the diamond's per-mask test too, and
+``creates_diamond`` only names it.  The diamond's own through-tests are
+batch forms: ``saturate``'s lookup tables up to the table limit, and,
+for the exact search at n <= 6, ``diamond_blocked``, which answers it
+for every mask at once, as one family word of the masks that create a
+diamond, over a whole batch of families.
 ``copy_blocked`` does the same for any pattern from a table of the
 family words of its induced copies in 2^[n], built once per (n, pattern)
 by a depth-first extension along the linear extension: a copy lacking
@@ -193,53 +192,46 @@ def _plan(p: PatternPoset) -> _Plan:
     return _Plan(p, linear_extension(p))
 
 
-def _search(members: tuple[int, ...], plan: _Plan, pools) -> tuple[int, ...] | None:
-    """Backtracking core on a raw member tuple.
+def _search(plan: _Plan, pools) -> tuple[int, ...] | None:
+    """Backtracking core over pools of distinct masks.
 
-    ``pools`` are lists of member indices; each slot (position in the
-    search order) tries the members of its pool, as ``plan.pick`` says,
-    in order.  Returns the point-indexed mapping tuple, or None.
+    Each slot (position in the search order) tries the masks of its
+    pool, as ``plan.pick`` says, in order.  Every relation it checks is
+    strict, so no mask takes two checked slots.  Returns the image masks
+    point by point, or None.
     """
     k = plan.size
-    if len(members) < k:
-        return None
-    image = [-1] * k
-    used = [False] * len(members)
+    image = [0] * k
     checks = plan.checks
     candidates = plan.pick(pools)
 
     def rec(slot: int) -> bool:
         if slot == k:
             return True
-        for ci in candidates[slot]:
-            if used[ci]:
-                continue
-            m = members[ci]
+        for m in candidates[slot]:
             for eslot, kind in checks[slot]:
-                other = members[image[eslot]]
+                other = image[eslot]
                 inter = other & m
                 if kind == _BELOW:
-                    if inter != other:
+                    if inter != other or other == m:
                         break
                 elif kind == _ABOVE:
-                    if inter != m:
+                    if inter != m or other == m:
                         break
                 elif inter == other or inter == m:
                     break
             else:
-                image[slot] = ci
-                used[ci] = True
+                image[slot] = m
                 if rec(slot + 1):
                     return True
-                used[ci] = False
         return False
 
     if not rec(0):
         return None
-    mapping = [0] * k
+    by_point = [0] * k
     for slot, pt in enumerate(plan.order):
-        mapping[pt] = image[slot]
-    return tuple(mapping)
+        by_point[pt] = image[slot]
+    return tuple(by_point)
 
 
 def _through(members: tuple[int, ...], s: int, plans) -> tuple[int, ...] | None:
@@ -251,17 +243,16 @@ def _through(members: tuple[int, ...], s: int, plans) -> tuple[int, ...] | None:
     plan finds the least copy along its search order: a member left out
     of a pool is in no copy with s at that point.
     """
-    pools = ([], [], [], (len(members),))  # by kind; _ANCHOR: s alone
-    for i, x in enumerate(members):
+    pools = ([], [], [], (s,))  # by kind; _ANCHOR: s alone
+    for x in members:
         inter = x & s
-        pools[_BELOW if inter == s else _ABOVE if inter == x else _INCOMP].append(i)
-    extended = members + (s,)
+        pools[_BELOW if inter == s else _ABOVE if inter == x else _INCOMP].append(x)
     for plan in plans:
         if any(len(pools[kind]) < need for kind, need in plan.need):
             continue
-        res = _search(extended, plan, pools)
-        if res is not None:
-            return tuple(extended[i] for i in res)
+        images = _search(plan, pools)
+        if images is not None:
+            return images
     return None
 
 
@@ -303,8 +294,8 @@ def _anchored_plans(p: PatternPoset) -> tuple[_Plan, ...]:
 
 def find_induced(f: SetFamily, p: PatternPoset) -> Embedding | None:
     """First induced copy of p inside f, or None if f is p-free."""
-    res = _search(f.members, _plan(p), (range(len(f.members)),))
-    return Embedding(f, p, res) if res is not None else None
+    images = _search(_plan(p), (f.members,)) if len(f) >= p.size else None
+    return None if images is None else Embedding(f, p, tuple(map(f.members.index, images)))
 
 
 def find_induced_using(f: SetFamily, s: int, p: PatternPoset) -> Embedding | None:
@@ -324,14 +315,16 @@ def find_induced_using(f: SetFamily, s: int, p: PatternPoset) -> Embedding | Non
 # Entries per block of the pairwise matrices in find_diamond; a block and
 # its temporaries stay near 16 MB whatever the family size.
 _BLOCK = 1 << 20
-# Multiply-adds the first row block may cost, so that a hit in the first
-# rows returns at once; later blocks double up to _BLOCK entries.
+# Multiply-adds find_diamond's first row block under a bottom may cost,
+# so that a hit in its first rows returns at once; later blocks double up
+# to _BLOCK entries.
 _FIRST_WORK = 1 << 18
 
 
 def _row_blocks(n: int):
-    """(start, stop) row ranges covering range(n), doubling from a first
-    block of about _FIRST_WORK multiply-adds up to _BLOCK entries."""
+    """find_diamond's (start, stop) row ranges over a bottom's n strict
+    supersets, doubling from a first block of about _FIRST_WORK
+    multiply-adds up to _BLOCK entries."""
     start, step, cap = 0, max(1, _FIRST_WORK // (n * n)), max(1, _BLOCK // n)
     while start < n:
         step = min(step, cap)
@@ -341,7 +334,8 @@ def _row_blocks(n: int):
 
 def _first_topped_pair(sups: np.ndarray) -> tuple[int, int] | None:
     """Least (i, j) in row-major order such that sups[i] and sups[j] are
-    incomparable and some sups[k] contains both, or None.
+    incomparable and some sups[k] contains both, or None: find_diamond's
+    middle pair over the strict supersets of one bottom.
 
     Rows are taken in blocks; a row can be a middle only if it has a strict
     superset ("live") and some incomparable partner, and only its strict
@@ -412,41 +406,21 @@ def find_diamond(f: SetFamily) -> Embedding | None:
 def creates_copy(members: tuple[int, ...], m: int, p: PatternPoset) -> bool:
     """True iff members + {m} has an induced copy of p through m.
 
-    Raw-tuple variant for enumeration inner loops; ``members`` must not
-    contain m and may come in any order.  The diamond goes to
-    creates_diamond.  Otherwise m is placed first, on one point per
-    automorphism orbit of p (a copy with m at y gives one with m at any
-    image of y), and every later point draws its candidates from the
-    members above, below or incomparable to m, split once per call.
+    The per-mask through-test of every pattern, the diamond included;
+    ``members`` must not contain m and may come in any order.  m is
+    placed first, on one point per automorphism orbit of p (a copy with
+    m at y gives one with m at any image of y), and every later point
+    draws its candidates from the members above, below or incomparable
+    to m, split once per call.
     """
-    if p is DIAMOND or p == DIAMOND:
-        return creates_diamond(members, m)
     return _through(members, m, _anchored_plans(p)) is not None
 
 
 def creates_diamond(members, m: int) -> bool:
-    """True iff members + {m} has a diamond through m (m not in members).
-
-    ``members`` is a tuple or a uint64 array of masks, in any order.
-    Each role of m is a few vector passes: as a middle, some member
-    incomparable to m contains a member inside m and lies inside one
-    containing m; as a bottom, two incomparable supersets of m lie inside
-    a third; as a top, so do the complements of two subsets of m.  Both
-    of these are find_diamond's blocked pair search, which stops at the
-    first pair.
-    """
-    ms = np.asarray(members, dtype=np.uint64)
-    m = np.uint64(m)
-    inter = ms & m
-    below, above = inter == ms, inter == m
-    subs, sups = ms[below], ms[above]
-    if len(subs) and len(sups):
-        # (small, large) matrices reduced over axis 0 keep numpy's inner loops long
-        mid = ms[~(below | above)]
-        mid = mid[((mid & sups[:, None]) == mid).any(0)]
-        if ((mid & subs[:, None]) == subs[:, None]).any():
-            return True
-    return any(len(xs) > 2 and _first_topped_pair(xs) is not None for xs in (sups, ~subs))
+    """creates_copy for the diamond over a tuple or a uint64 array of masks."""
+    if isinstance(members, np.ndarray):
+        members = tuple(members.tolist())
+    return creates_copy(members, int(m), DIAMOND)
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +435,7 @@ def _up_down_words(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diamond_blocked(n: int, fams: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Word form of creates_diamond for a batch of families (n <= 6).
+    """Word form of creates_copy on the diamond for a batch of families (n <= 6).
 
     ``fams`` is a (T, s) array of member masks and ``words`` their
     family words.  Returns per family the word of the masks whose

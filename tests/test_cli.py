@@ -13,7 +13,9 @@ from posetsat import cli, hasse, saturate, search, structure
 from posetsat.detect import DIAMOND
 from posetsat.families import SetFamily, serialize_family
 from posetsat.posets import make_hypercube, pattern_from_spec, serialize_pattern
-from posetsat.saturate import chain_family, greedy_saturate, q3_construction
+from posetsat.saturate import (
+    chain_family, empty_plus_singletons, full_plus_cosingletons, greedy_saturate, q3_construction
+)
 
 SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
 
@@ -456,6 +458,31 @@ def test_check_outputs_are_pinned(tmp_path, capsys, spec, name):
         digest.update(repr(code).encode())
         digest.update(json.dumps(json.loads(out)["report"], sort_keys=True).encode())
     assert digest.hexdigest()[:16] == CHECK_DIGESTS[spec, name]
+
+
+# sha256 prefixes over the exit codes and report JSON of `check --mode
+# spot:64` and `spot:1000` with seed 5, above the table limit, where the
+# diamond takes the per-mask through-test; all six are SATURATED
+SPOT_DIGESTS = {
+    ("chain", 30): "608c142ca92403af",
+    ("chain", 64): "310db74d49d59135",
+    ("e+s", 30): "7fae23fb7568d167",
+    ("e+s", 64): "5804968bcf23c388",
+    ("f+c", 30): "07517f84ad17df4e",
+    ("f+c", 64): "26bf5dd288c1247b",
+}
+SPOT_FAMILIES = {"chain": chain_family, "e+s": empty_plus_singletons, "f+c": full_plus_cosingletons}
+
+
+@pytest.mark.parametrize("name, n", sorted(SPOT_DIGESTS))
+def test_spot_outputs_above_the_table_limit_are_pinned(tmp_path, capsys, name, n):
+    path = write(tmp_path, "f", SPOT_FAMILIES[name](n))
+    digest = hashlib.sha256()
+    for mode in ("spot:64", "spot:1000"):
+        code, out, _ = run(capsys, "check", "--family", path, "--pattern", "diamond", "--mode", mode, "--seed", "5")
+        digest.update(repr(code).encode())
+        digest.update(json.dumps(json.loads(out)["report"], sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == SPOT_DIGESTS[name, n]
 
 
 def without_wall_times(node):

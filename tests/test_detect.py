@@ -44,7 +44,7 @@ def relabeled(p, perm):
 
 
 # The diamond with its top as point 0: equal to DIAMOND only up to
-# relabeling, so creates_copy takes the generic path on it.
+# relabeling, so the through-search runs it with plans of its own.
 RELABELED_DIAMOND = relabeled(DIAMOND, (3, 1, 2, 0))
 THROUGH_PATTERNS = (
     make_v(),
@@ -234,8 +234,7 @@ def test_monotonicity_under_superfamilies(f, pi, rnd):
 
 # Families over [64] with members at or above 2^63 and a set s to add:
 # a diamond through s as its bottom, its top, a middle, then none twice;
-# last, 65 supersets of s, past the size where the pair check stops
-# using one product, with and without a top over two of them.
+# last, 65 supersets of s, with and without a top over two of them.
 HIGH = 1 << 63
 PAIRS = tuple(1 << i | 1 << (i + 1) for i in range(63)) + (HIGH | 1, 5)
 WIDE_CASES = [
@@ -266,6 +265,7 @@ def test_creates_diamond_matches_oracle_over_64_elements(f, s):
     expected = oracles.diamond_through(f, s)
     assert creates_diamond(f.members, s) == expected
     assert creates_diamond(np.array(f.members, dtype=np.uint64), s) == expected
+    assert creates_copy(f.members, s, DIAMOND) == expected
 
 
 @given(families(max_size=12))
