@@ -319,19 +319,16 @@ _LOW_BYTES = tuple(np.uint64(m) for m in (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF
 
 def _sweep(n: int, masks, down: bool) -> np.ndarray:
     """The 0/1 table of a sequence or array of masks, each entry ORed
-    into its subsets (``down``) or its supersets, one pass per bit.  Bits 0-2 index bytes inside a 64-bit
-    word and are swept by shift-and-mask; higher bits by contiguous
-    word blocks.  Tables below one word take the byte sweep."""
+    into its subsets (``down``) or its supersets, one pass per bit.  Bits
+    0-2 index bytes inside a 64-bit word and are swept by shift-and-mask;
+    higher bits by contiguous word blocks.  A table below one word takes
+    the first 2^n entries of one: the entries past them are never set
+    and only gain bits from below, so they pass nothing down to it."""
     if n > MAX_TABLE_N:
         raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
-    t = np.zeros(1 << n, dtype=bool)
+    t = np.zeros(max(1 << n, 8), dtype=bool)
     t[np.asarray(masks, dtype=np.int64)] = True
     dst, src = (0, 1) if down else (1, 0)
-    if n < 3:
-        for k in range(n):
-            t3 = t.reshape(-1, 2, 1 << k)
-            t3[:, dst] |= t3[:, src]
-        return t
     w = t.view("<u8")
     for k, low in enumerate(_LOW_BYTES):
         shift = np.uint64(8 << k)
@@ -339,7 +336,7 @@ def _sweep(n: int, masks, down: bool) -> np.ndarray:
     for k in range(3, n):
         w3 = w.reshape(-1, 2, 1 << (k - 3))
         w3[:, dst] |= w3[:, src]
-    return t
+    return t[:1 << n]
 
 
 def superset_table(n: int, masks) -> np.ndarray:

@@ -19,18 +19,18 @@ per mask, with no 2^n table, so it also serves the diamond up to
 n = 64.  Either names DIAMOND in the witnesses of any pattern equal to
 it, as ``find_diamond`` does in a NOT_FREE witness.
 
-The full scan takes the missing subsets from the cardinality layers of
-``families`` less the members, in numpy batches that start at 2^12
-masks and double up to a fixed cap, so a family that fails early stops
-early while a long scan pays numpy's per-call overhead rarely.  The
-scan stops at the first batch holding a failure, and the report names
-the canonical first failure, so verdict and evidence never depend on
-batch boundaries.  Spot mode draws its sample, sorts it into the same
-canonical order and feeds it as one batch to the same loop; a sample
-as large as the missing sets takes them all, with no draw.  Greedy
-completion asks the scanner about one candidate at a time and grows it
-by each accepted set; a rejection is final, since a copy through a set
-survives every later addition.
+Every scan takes its masks in numpy batches that start at 2^12 masks
+and double up to a fixed cap, so a family that fails early stops early
+while a long scan pays numpy's per-call overhead rarely.  The full scan
+cuts them from the cardinality layers of ``families`` less the members.
+Spot mode draws its sample and sorts it into the same canonical order;
+a sample as large as the missing sets is the full scan, with no draw,
+and above n = 24 a sample holds at most 2^24 masks.  The scan stops at
+the first batch holding a failure, and the report names the canonical
+first failure, so verdict and evidence never depend on batch
+boundaries.  Greedy completion asks the scanner about one candidate at
+a time and grows it by each accepted set; a rejection is final, since a
+copy through a set survives every later addition.
 
 A full certificate keeps only the witness rows (:class:`Certificate`)
 and builds the :class:`Embedding` into f + {s} of an entry when it is
@@ -242,11 +242,12 @@ _FIRST_BATCH = 1 << 12
 _MAX_BATCH = 1 << 16
 
 
-def _missing_batches(f: SetFamily):
-    """Missing subsets in canonical order, in int64 batches of doubling
-    size (from _FIRST_BATCH up to _MAX_BATCH); only the last may be short."""
+def _batches(arrays):
+    """The masks of a sequence of arrays that runs in canonical order, in
+    batches of doubling size (from _FIRST_BATCH up to _MAX_BATCH); only
+    the last may be short."""
     size, parts, count = _FIRST_BATCH, [], 0
-    for layer in _missing_layers(f):
+    for layer in arrays:
         while len(layer):
             part, layer = layer[: size - count], layer[size - count:]
             parts.append(part)
@@ -566,9 +567,9 @@ def is_saturated(
     """Decide freeness and saturation of f for pattern p.
 
     ``mode="full"`` scans every missing subset (n <= 24); ``mode="spot"``
-    samples ``spot`` missing subsets uniformly with the given seed and
-    labels the report exhaustive only if the sample is every missing
-    subset.  With ``certificate=True`` the full map missing-set ->
+    samples ``spot`` missing subsets uniformly with the given seed (at
+    most 2^24 above n = 24) and labels the report exhaustive only if the
+    sample is every missing subset.  With ``certificate=True`` the full map missing-set ->
     embedding is materialized.
     """
     return _saturation(f, p, mode, spot, seed, certificate)[0]
@@ -583,46 +584,44 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
         raise ValueError(f"full mode needs n <= {MAX_FULL_N}, got {f.n}")
     if mode == "spot" and spot < 1:
         raise ValueError(f"spot mode needs a sample of at least 1, got {spot}")
+    if mode == "spot" and f.n > MAX_FULL_N and spot > 1 << MAX_FULL_N:
+        raise ValueError(f"spot mode above n = {MAX_FULL_N} needs a sample of at most 2^{MAX_FULL_N}, got {spot}")
 
     inner = _find_copy(f, p)
     if inner is not None:
         return _validated(SaturationReport(Verdict.NOT_FREE, f, p, mode, True, 0, embedding=inner)), None
 
-    scanner = _scanner(f, p)
+    scanner, masks, missing_count = _scanner(f, p), _missing_layers(f), (1 << f.n) - len(f)
     if mode == "spot":
-        # the table scanner's rows are int64; above its tables masks of [64] reach 2^63
-        dtype = np.int64 if f.n <= MAX_TABLE_N else np.uint64
-        exhaustive, certificate = spot >= (1 << f.n) - len(f), False
-        if exhaustive:
-            # every missing mask, in canonical order already: nothing to draw
-            sample = np.concatenate(list(_missing_layers(f))).astype(dtype)
-        else:
+        # a sample that covers the missing masks is the full scan; a spot
+        # report counts its whole sample as checked and keeps no certificate
+        exhaustive, checked, certificate = spot >= missing_count, min(spot, missing_count), False
+        if not exhaustive:
             rng = random.Random(seed)
             chosen: set[int] = set()
             while len(chosen) < spot:
                 m = rng.getrandbits(f.n)
                 if m not in f and m not in chosen:
                     chosen.add(m)
-            sample = np.array(sorted(chosen, key=member_key), dtype=dtype)
-        batches = [sample]
+            # the table scanner's rows are int64; above its tables masks of [64] reach 2^63
+            masks = [np.array(sorted(chosen, key=member_key), dtype=np.int64 if f.n <= MAX_TABLE_N else np.uint64)]
     else:
-        batches, exhaustive, seed = _missing_batches(f), True, None
+        exhaustive, checked, seed = True, None, None
 
-    checked, missing, passed = 0, None, []
-    for batch in batches:
+    scanned, missing, passed = 0, None, []
+    for batch in _batches(masks):
         bad = scanner.first_failure(batch)
         if bad is not None:
-            # a spot report counts its whole sample as checked
-            checked += len(batch) if mode == "spot" else bad + 1
+            scanned += bad + 1
             missing = int(batch[bad])
             break
         if certificate or not passed:
             passed.append(batch)
-        checked += len(batch)
+        scanned += len(batch)
 
     report = SaturationReport(
         Verdict.SATURATED if missing is None else Verdict.FREE_NOT_SATURATED,
-        f, p, mode, exhaustive, checked, missing=missing, seed=seed,
+        f, p, mode, exhaustive, scanned if checked is None else checked, missing=missing, seed=seed,
     )
     if missing is None:
         # every mask passed, so the passing masks in scan order are the

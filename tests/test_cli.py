@@ -2,16 +2,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 
 from posetsat import cli, hasse, saturate, search, structure
 from posetsat.detect import DIAMOND
-from posetsat.families import SetFamily, serialize_family
+from posetsat.families import SetFamily, member_key, serialize_family
 from posetsat.posets import make_hypercube, pattern_from_spec, serialize_pattern
 from posetsat.saturate import (
     chain_family, empty_plus_singletons, full_plus_cosingletons, greedy_saturate, q3_construction
@@ -110,6 +112,18 @@ def test_check_full_mode_above_the_cap_is_a_usage_error(tmp_path, capsys):
     big = write(tmp_path, "big", chain_family(25))
     code, out, err = run(capsys, "check", "--family", big, "--pattern", "diamond")
     assert code == 64 and out == "" and "full mode" in err
+
+
+@pytest.mark.parametrize("n, spot", [(40, 1 << 40), (64, 1 << 64), (25, (1 << 24) + 1)])
+def test_a_spot_sample_too_large_to_hold_is_a_usage_error(tmp_path, capsys, monkeypatch, n, spot):
+    # refused before the in-family check and the draw: a sample that
+    # covered the missing sets would list all 2^n of them
+    monkeypatch.setattr(saturate, "_find_copy", mock.Mock(side_effect=AssertionError("searched the family")))
+    monkeypatch.setattr(random.Random, "getrandbits", mock.Mock(side_effect=AssertionError("drew a mask")))
+    empty = write(tmp_path, "empty", SetFamily(n))
+    code, out, err = run(capsys, "check", "--family", empty, "--pattern", "diamond", "--mode", f"spot:{spot}")
+    assert code == 64 and out == ""
+    assert err == f"posetsat: error: spot mode above n = 24 needs a sample of at most 2^24, got {spot}\n"
 
 
 def test_satstar_negative_size_cap_is_a_usage_error(capsys):
@@ -483,6 +497,41 @@ def test_spot_outputs_above_the_table_limit_are_pinned(tmp_path, capsys, name, n
         digest.update(repr(code).encode())
         digest.update(json.dumps(json.loads(out)["report"], sort_keys=True).encode())
     assert digest.hexdigest()[:16] == SPOT_DIGESTS[name, n]
+
+
+def _greedy10():
+    return greedy_saturate(SetFamily(10), DIAMOND, order="shuffle", seed=1)
+
+
+def _plus_least_missing(f):
+    return f.add(min((m for m in range(1 << f.n) if m not in f), key=member_key))
+
+
+# sha256 prefixes over the exit codes and report JSON of `check` with
+# --certificate, in full mode and in modes spot:7, spot:5000 and
+# spot:<2^n>, all with seed 5, at or below the table limit, as the
+# scan that took a covering spot sample as one batch gave them
+DIAMOND_CHECK_FAMILIES = {
+    "chain10": (lambda: chain_family(10), "14a1b75686efb1ae"),  # SATURATED
+    "e+s12": (lambda: empty_plus_singletons(12), "fa6b82255d8fe282"),  # SATURATED
+    "f+c12": (lambda: full_plus_cosingletons(12), "c1168b3cbf7644c9"),  # SATURATED
+    "greedy10": (_greedy10, "2df269c889be4d5a"),  # SATURATED
+    "chain9cut": (lambda: chain_family(9).without(0b111), "503b2c6ecec4a5f8"),  # FREE_NOT_SATURATED
+    "greedy10plus": (lambda: _plus_least_missing(_greedy10()), "dcdae8dc5f82fc4e"),  # NOT_FREE
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAMOND_CHECK_FAMILIES))
+def test_diamond_check_outputs_within_the_table_limit_are_pinned(tmp_path, capsys, name):
+    build, expected = DIAMOND_CHECK_FAMILIES[name]
+    f = build()
+    path = write(tmp_path, "f", f)
+    digest = hashlib.sha256()
+    for extra in (["--certificate"], [], ["--mode", "spot:7"], ["--mode", "spot:5000"], ["--mode", f"spot:{1 << f.n}"]):
+        code, out, _ = run(capsys, "check", "--family", path, "--pattern", "diamond", *extra, "--seed", "5")
+        digest.update(repr(code).encode())
+        digest.update(json.dumps(json.loads(out)["report"], sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == expected
 
 
 def without_wall_times(node):

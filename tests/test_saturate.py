@@ -188,6 +188,18 @@ def test_spot_mode_needs_a_positive_sample(spot):
         is_saturated(SetFamily(4, (0,)), D, mode="spot", spot=spot)
 
 
+def test_above_the_full_limit_a_spot_sample_holds_at_most_2_to_the_24():
+    # a family with a diamond stops at the in-family check, so the
+    # largest allowed sample draws nothing here
+    f = SetFamily(40, (0, 1, 2, 3))
+    assert is_saturated(f, D, mode="spot", spot=1 << 24).verdict is Verdict.NOT_FREE
+    with pytest.raises(ValueError, match=r"at most 2\^24, got 16777217"):
+        is_saturated(f, D, mode="spot", spot=(1 << 24) + 1)
+    # at n <= 24 a covering sample is the full scan, whatever its size
+    rep = is_saturated(chain_family(4), D, mode="spot", spot=1 << 64)
+    assert rep.exhaustive and rep.checked == 11
+
+
 @pytest.mark.parametrize(
     "mode, certificate", [("full", False), ("spot", False), ("full", True)], ids=["full", "spot", "certificate"]
 )
@@ -684,6 +696,19 @@ def test_greedy_from_the_middle_layer_over_14_runs_in_bounded_memory(order, dige
         tracemalloc.stop()
     assert hashlib.sha256(repr(g.members).encode()).hexdigest()[:16] == digest
     assert peak < 96 << 20
+
+
+def test_an_exhaustive_spot_sample_runs_in_bounded_memory():
+    # the sample covers the 2^20 - 21 missing sets, so it streams them in
+    # the full scan's batches; one batch of all of them traced 63 MiB
+    tracemalloc.start()
+    try:
+        rep = is_saturated(chain_family(20), D, mode="spot", spot=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is Verdict.SATURATED and rep.exhaustive and rep.checked == (1 << 20) - 21
+    assert peak < 16 << 20
 
 
 @st.composite
