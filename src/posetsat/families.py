@@ -60,12 +60,17 @@ def cardinality_layers(n: int) -> Iterator[np.ndarray]:
 
     The c-sets below 2^(h+1) whose highest element is h are h's bit over
     the (c-1)-sets below 2^h, a prefix of the previous layer; so layer c
-    is built from layer c-1 in O(C(n, c)), with no pass over 2^n.
+    is built from layer c-1 in O(C(n, c)), with no pass over 2^n.  Each
+    layer is filled in place, so only it and the previous one are live.
     """
     layer = np.zeros(1, dtype=np.int64)
     yield layer
     for c in range(1, n + 1):
-        layer = np.concatenate([layer[: comb(h, c - 1)] | (1 << h) for h in range(c - 1, n)])
+        prev, layer, at = layer, np.empty(comb(n, c), dtype=np.int64), 0
+        for h in range(c - 1, n):
+            k = comb(h, c - 1)
+            np.bitwise_or(prev[:k], 1 << h, out=layer[at:at + k])
+            at += k
         yield layer
 
 
@@ -323,11 +328,15 @@ def _sweep(n: int, masks, down: bool) -> np.ndarray:
     0-2 index bytes inside a 64-bit word and are swept by shift-and-mask;
     higher bits by contiguous word blocks.  A table below one word takes
     the first 2^n entries of one: the entries past them are never set
-    and only gain bits from below, so they pass nothing down to it."""
+    and only gain bits from below, so they pass nothing down to it.  No
+    masks give the zero table unswept, so its pages are never written."""
     if n > MAX_TABLE_N:
         raise ValueError(f"lookup table needs n <= {MAX_TABLE_N}, got {n}")
     t = np.zeros(max(1 << n, 8), dtype=bool)
-    t[np.asarray(masks, dtype=np.int64)] = True
+    masks = np.asarray(masks, dtype=np.int64)
+    if not len(masks):
+        return t[:1 << n]
+    t[masks] = True
     dst, src = (0, 1) if down else (1, 0)
     w = t.view("<u8")
     for k, low in enumerate(_LOW_BYTES):

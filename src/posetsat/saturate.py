@@ -20,9 +20,12 @@ n = 64.  Either names DIAMOND in the witnesses of any pattern equal to
 it, as ``find_diamond`` does in a NOT_FREE witness.
 
 Every scan takes its masks in numpy batches that start at 2^12 masks
-and double up to a fixed cap, so a family that fails early stops early
-while a long scan pays numpy's per-call overhead rarely.  The full scan
-cuts them from the cardinality layers of ``families`` less the members.
+and double up to 2^14, so a family that fails early stops early while a
+long scan pays numpy's per-call overhead rarely, and a batch's
+temporaries stay small.  The full scan cuts them from the runs of the
+cardinality layers of ``families`` between members, which are views of
+the layer; so besides the scanner's tables it holds two layers (the one
+being built and the one before it) and one batch.
 Spot mode draws its sample and sorts it into the same canonical order;
 a sample as large as the missing sets is the full scan, with no draw,
 and above n = 24 a sample holds at most 2^24 masks.  The scan stops at
@@ -44,6 +47,7 @@ rows.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -229,17 +233,20 @@ def is_free(f: SetFamily, p: PatternPoset) -> bool:
 
 
 def _missing_layers(f: SetFamily):
-    """Missing subsets of each cardinality 0..n, as ascending int64 arrays:
-    the cardinality layers of [n] less the members."""
+    """The missing subsets in canonical order, as ascending int64 arrays:
+    the nonempty runs of each cardinality layer of [n] between members,
+    as views of the layer."""
     members = np.array(f.members, dtype=np.int64)
     sizes = popcounts(members)
     for c, layer in enumerate(cardinality_layers(f.n)):
-        present = members[sizes == c]
-        yield np.delete(layer, np.searchsorted(layer, present)) if len(present) else layer
+        cuts = np.searchsorted(layer, members[sizes == c]).tolist()
+        for start, stop in zip([0] + [i + 1 for i in cuts], cuts + [len(layer)]):
+            if start < stop:
+                yield layer[start:stop]
 
 
 _FIRST_BATCH = 1 << 12
-_MAX_BATCH = 1 << 16
+_MAX_BATCH = 1 << 14
 
 
 def _batches(arrays):
@@ -318,7 +325,9 @@ class _DiamondScanner:
     The family must be diamond-free.  Bottom and top roles are table
     lookups against the intersections/unions of incomparable member
     pairs that already have a common top/bottom; the middle role scans
-    members once using subset/superset tables.  ``structure`` builds the
+    members once using subset/superset tables.  With no such pair, as
+    in a chain, ``bottomable`` and ``topable`` stay unswept zero tables
+    whose pages are never written.  ``structure`` builds the
     decomposition of a diamond-free family from the same tables.  Greedy
     completion tests one mask at a time (``creates``) and turns the
     tables into those of the family plus an accepted mask in place
@@ -341,10 +350,19 @@ class _DiamondScanner:
 
     def first_failure(self, batch: np.ndarray) -> int | None:
         """Position of the first mask in batch whose addition creates no
-        diamond, or None."""
+        diamond, or None.  Unlike witnesses, it asks of the middle role
+        only whether some member plays it."""
         pos = np.flatnonzero(~(self.bottomable[batch] | self.topable[batch]))
-        rest = pos[_first(batch[pos], self.member_array, self._middle) < 0]
-        return int(rest[0]) if len(rest) else None
+        # the middle role by existence: members go in runs of about
+        # _FIRST_RUN entries over the masks still open, as in _first, and
+        # a mask leaves at its first hit
+        x, ms, c0 = batch[pos], self.member_array, 0
+        while len(pos) and c0 < len(ms):
+            run = ms[c0:c0 + max(1, _FIRST_RUN // len(pos)), None]
+            missed = ~self._middle(x, run).any(0)
+            pos, x = pos[missed], x[missed]
+            c0 += len(run)
+        return int(pos[0]) if len(pos) else None
 
     def _middle(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Whether x and member d are the middles of a diamond in f + {x}:
@@ -667,11 +685,16 @@ def greedy_saturate(
         raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
-    masks = canonical_order(f.n).tolist()
-    if order == "reverse":
-        masks.reverse()
-    elif order == "shuffle":
+    canon = canonical_order(f.n)
+    if order == "shuffle":
+        masks = canon.tolist()
         random.Random(seed).shuffle(masks)
+    else:
+        # the cached order in chunks keeps 2^n Python ints out of memory
+        canon = canon if order == "canonical" else canon[::-1]
+        masks = itertools.chain.from_iterable(
+            canon[i:i + _MAX_BATCH].tolist() for i in range(0, len(canon), _MAX_BATCH)
+        )
     scanner = _scanner(SetFamily(f.n), p)
     for m in f.members:
         scanner.grow(m)

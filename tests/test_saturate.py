@@ -16,6 +16,7 @@ from posetsat import saturate
 from posetsat.detect import creates_diamond, validate_embedding
 from posetsat.families import (
     SetFamily,
+    canonical_order,
     complement_family,
     elements_of,
     member_key,
@@ -711,6 +712,23 @@ def test_an_exhaustive_spot_sample_runs_in_bounded_memory():
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("gap", [None, 10], ids=["chain", "chain-less-its-10-set"])
+def test_a_full_scan_of_a_chain_over_20_runs_in_bounded_memory(gap):
+    # a chain has a member in every layer; the scan holds two layers of
+    # masks (1.4 MiB each at most), the four 2^20 tables (4 MiB) and one
+    # batch, and traces 8.2 MiB.  A copy of each layer less its member
+    # and a third layer held while the next was built traced 11.3-11.8 MiB
+    f = chain_family(20) if gap is None else chain_family(20).without((1 << gap) - 1)
+    tracemalloc.start()
+    try:
+        rep = is_saturated(f, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is (Verdict.SATURATED if gap is None else Verdict.FREE_NOT_SATURATED)
+    assert peak < 9 << 20
+
+
 @st.composite
 def free_families(draw):
     """Diamond-free families over n <= 8: random subfamilies of greedy
@@ -744,6 +762,54 @@ def test_a_grown_scanner_equals_a_fresh_one(f, data):
         assert scanner.first_failure(one) == fresh.first_failure(one)
         assert scanner.creates(s) == (fresh.first_failure(one) is None)
     assert scanner.first_failure(missing) == fresh.first_failure(missing)
+
+
+@st.composite
+def gap_chains(draw):
+    """Chains over n <= 10 with any of their sets left out."""
+    chain = chain_family(draw(st.integers(1, 10)))
+    return SetFamily(chain.n, tuple(draw(st.lists(st.sampled_from(chain.members), unique=True))))
+
+
+@given(st.one_of(free_families(), gap_chains()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_first_failure_is_the_first_mask_that_creates_no_diamond(f, data):
+    # against creates_diamond, which reads no table; runs of three
+    # entries split the middle pass into many runs
+    missing = np.array([m for m in canonical_order(f.n).tolist() if m not in f], dtype=np.int64)
+    failures = [i for i, s in enumerate(missing.tolist()) if not creates_diamond(f.members, s)]
+    scanner = saturate._DiamondScanner(f)
+    cut = data.draw(st.integers(0, len(missing)))
+    expected = next((i - cut for i in failures if i >= cut), None)
+    assert scanner.first_failure(missing[cut:]) == expected
+    with mock.patch.object(saturate, "_FIRST_RUN", 3):
+        assert scanner.first_failure(missing[cut:]) == expected
+
+
+@st.composite
+def layer_families(draw):
+    """Families over n <= 12: empty, chains (a member in every layer),
+    sets at the ends of their layers, and random sets."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["empty", "chain", "layer-ends", "random"]))
+    if kind == "empty":
+        return SetFamily(n)
+    if kind == "chain":
+        return chain_family(n)
+    if kind == "layer-ends":
+        ends = {mask for c in range(n + 1) for mask in ((1 << c) - 1, ((1 << c) - 1) << (n - c))}
+        return SetFamily(n, tuple(draw(st.lists(st.sampled_from(sorted(ends)), unique=True))))
+    return SetFamily(n, tuple(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40, unique=True))))
+
+
+@given(layer_families())
+@settings(max_examples=80, deadline=None)
+def test_missing_layers_are_the_canonical_order_less_the_members(f):
+    runs = list(saturate._missing_layers(f))
+    # nonempty int64 views of the layers, no copies
+    assert all(len(run) and run.dtype == np.int64 and run.base is not None for run in runs)
+    got = np.concatenate(runs).tolist() if runs else []
+    assert got == [m for m in canonical_order(f.n).tolist() if m not in f]
 
 
 def test_greedy_generic_pattern():
