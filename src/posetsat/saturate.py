@@ -353,9 +353,8 @@ class _DiamondScanner:
         diamond, or None.  Unlike witnesses, it asks of the middle role
         only whether some member plays it."""
         pos = np.flatnonzero(~(self.bottomable[batch] | self.topable[batch]))
-        # the middle role by existence: members go in runs of about
-        # _FIRST_RUN entries over the masks still open, as in _first, and
-        # a mask leaves at its first hit
+        # members go in runs of about _FIRST_RUN entries over the masks
+        # still open, as in _first; a mask leaves at its first hit
         x, ms, c0 = batch[pos], self.member_array, 0
         while len(pos) and c0 < len(ms):
             run = ms[c0:c0 + max(1, _FIRST_RUN // len(pos)), None]

@@ -716,8 +716,8 @@ def test_an_exhaustive_spot_sample_runs_in_bounded_memory():
 def test_a_full_scan_of_a_chain_over_20_runs_in_bounded_memory(gap):
     # a chain has a member in every layer; the scan holds two layers of
     # masks (1.4 MiB each at most), the four 2^20 tables (4 MiB) and one
-    # batch, and traces 8.2 MiB.  A copy of each layer less its member
-    # and a third layer held while the next was built traced 11.3-11.8 MiB
+    # batch, and traces 8.2 MiB.  A copy of each layer less its member,
+    # or a third live layer, breaks the bound
     f = chain_family(20) if gap is None else chain_family(20).without((1 << gap) - 1)
     tracemalloc.start()
     try:
