@@ -31,9 +31,10 @@ a sample as large as the missing sets is the full scan, with no draw,
 and above n = 24 a sample holds at most 2^24 masks.  The scan stops at
 the first batch holding a failure, and the report names the canonical
 first failure, so verdict and evidence never depend on batch
-boundaries.  Greedy completion asks the scanner about one candidate at
-a time and grows it by each accepted set; a rejection is final, since a
-copy through a set survives every later addition.
+boundaries.  Greedy completion walks one stream of candidates in the
+scan's batches, whatever the order, and asks the scanner about one
+candidate at a time, growing it by each accepted set; a rejection is
+final, since a copy through a set survives every later addition.
 
 A full certificate keeps only the witness rows (:class:`Certificate`)
 and builds the :class:`Embedding` into f + {s} of an entry when it is
@@ -47,7 +48,6 @@ rows.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -75,7 +75,6 @@ from .families import (
     cardinality_layers,
     elements_of,
     family_to_json,
-    member_key,
     popcounts,
     subset_table,
     superset_table,
@@ -207,11 +206,16 @@ class SaturationReport:
 
     def validate(self) -> str | None:
         """Re-check all stored evidence with the independent validator:
-        the embedding, then the sample, then the certificate rows."""
+        the embedding, the missing set, then the sample, then the
+        certificate rows.  A missing set s of a free f creates no copy
+        exactly when f + {s} is free, which the in-family search
+        re-checks apart from the scanner that chose s."""
         if self.embedding is not None:
             problem = validate_embedding(self.embedding)
             if problem:
                 return f"stored embedding invalid: {problem}"
+        if self.missing is not None and _find_copy(self.family.add(self.missing), self.pattern) is not None:
+            return f"missing set {elements_of(self.missing)} creates a copy of {self.pattern.label}"
         for m, emb in self.sample:
             problem = validate_embedding(emb)
             if problem:
@@ -621,7 +625,8 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
                 if m not in f and m not in chosen:
                     chosen.add(m)
             # the table scanner's rows are int64; above its tables masks of [64] reach 2^63
-            masks = [np.array(sorted(chosen, key=member_key), dtype=np.int64 if f.n <= MAX_TABLE_N else np.uint64)]
+            drawn = np.fromiter(chosen, np.int64 if f.n <= MAX_TABLE_N else np.uint64, len(chosen))
+            masks = [drawn[canonical_permutation(drawn)]]
     else:
         exhaustive, checked, seed = True, None, None
 
@@ -672,8 +677,11 @@ def greedy_saturate(
     Candidates are all 2^n subsets in the requested order (``canonical``,
     ``reverse``, or seeded ``shuffle``); each set that keeps the family
     free is added.  After one pass the result is saturated: any rejected
-    set already created a copy against a subfamily of the result.  Each
-    candidate is one ``creates`` of the scanner, which grows by each
+    set already created a copy against a subfamily of the result.  The
+    candidates are one array walked in _batches: the cached
+    ``canonical_order``, its reversed view, or an int64 copy (128 MiB at
+    n = 24) that ``shuffle`` permutes as it would a list, by swaps.
+    Each candidate is one ``creates`` of the scanner, which grows by each
     accepted set; for the diamond that is a lookup in tables grown in
     place.  The scanner starts from the empty family, whose tables need
     no pair pass, and takes f's members as accepted sets first.
@@ -684,24 +692,21 @@ def greedy_saturate(
         raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
-    canon = canonical_order(f.n)
-    if order == "shuffle":
-        masks = canon.tolist()
+    masks = canonical_order(f.n)
+    if order == "reverse":
+        masks = masks[::-1]
+    elif order == "shuffle":
+        masks = masks.copy()
         random.Random(seed).shuffle(masks)
-    else:
-        # the cached order in chunks keeps 2^n Python ints out of memory
-        canon = canon if order == "canonical" else canon[::-1]
-        masks = itertools.chain.from_iterable(
-            canon[i:i + _MAX_BATCH].tolist() for i in range(0, len(canon), _MAX_BATCH)
-        )
     scanner = _scanner(SetFamily(f.n), p)
     for m in f.members:
         scanner.grow(m)
     present = set(f.members)
-    for m in masks:
-        if m not in present and not scanner.creates(m):
-            scanner.grow(m)
-            present.add(m)
+    for batch in _batches([masks]):
+        for m in batch.tolist():
+            if m not in present and not scanner.creates(m):
+                scanner.grow(m)
+                present.add(m)
     return SetFamily(f.n, tuple(present))
 
 
@@ -759,7 +764,9 @@ class CatalogEntry:
 def upper_bound_catalog(n: int, p: PatternPoset) -> list[CatalogEntry]:
     """Named saturated constructions applicable to p, each verified in
     full mode before emission; failed constructions are reported, not
-    emitted."""
+    emitted.  Raises ValueError unless 1 <= n <= MAX_FULL_N."""
+    if not 1 <= n <= MAX_FULL_N:
+        raise ValueError(f"catalog needs 1 <= n <= {MAX_FULL_N}, got {n}")
     if p == DIAMOND:
         builders = [
             ("chain", chain_family),

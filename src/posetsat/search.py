@@ -71,9 +71,6 @@ class LayerStats:
     saturated_found: int
     wall_time_s: float = 0.0
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SearchManifest:
@@ -98,21 +95,7 @@ class SearchManifest:
     version: str = __version__
 
     def to_json(self) -> dict:
-        return {
-            "tool": "posetsat",
-            "version": self.version,
-            "command": self.command,
-            "n": self.n,
-            "pattern": self.pattern,
-            "mode": self.mode,
-            "symmetry": self.symmetry,
-            "size_cap": self.size_cap,
-            "layers": [s.to_json() for s in self.layers],
-            "nodes_expanded": self.nodes_expanded,
-            "families_examined": self.families_examined,
-            "result": self.result,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {"tool": "posetsat", **asdict(self)}
 
 
 _CHUNK = 1 << 13  # families per vector step

@@ -33,7 +33,7 @@ the test suite and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -284,13 +284,7 @@ class LemmaCheck:
     note: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "status": self.status,
-            "evidence": self.evidence,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import posetsat
 
@@ -74,3 +76,28 @@ def test_public_names_are_pinned():
 def test_every_public_name_is_exported_and_no_module_is():
     assert all(hasattr(posetsat, name) for name in posetsat.__all__)
     assert not any(isinstance(getattr(posetsat, name), types.ModuleType) for name in posetsat.__all__)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``__future__`` exempt)."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to re-export them
+    package = Path(posetsat.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
+    assert _unused_imports("import itertools\nfrom a import b as c, d\nd()\n") == ["c", "itertools"]

@@ -217,6 +217,20 @@ def test_a_corrupted_not_free_witness_exits_70(tmp_path, capsys, monkeypatch):
     assert err == "posetsat: internal inconsistency: stored embedding invalid: mapping is not injective\n"
 
 
+@pytest.mark.parametrize(
+    "f, pattern, mode",
+    [(chain_family(6), "diamond", "full"), (chain_family(6), "v", "full"), (chain_family(30), "diamond", "spot:64")],
+    ids=["diamond", "v", "spot-30"],
+)
+def test_a_missing_set_that_creates_a_copy_exits_70(tmp_path, capsys, monkeypatch, f, pattern, mode):
+    for scanner in (saturate._DiamondScanner, saturate._CopyScanner):
+        monkeypatch.setattr(scanner, "first_failure", lambda self, batch: 0)
+    path = write(tmp_path, "chain", f)
+    code, out, err = run(capsys, "check", "--family", path, "--pattern", pattern, "--mode", mode)
+    assert code == 70 and out == ""
+    assert err.startswith("posetsat: internal inconsistency: missing set (")
+
+
 def test_satstar_exits_70_when_a_winner_fails_revalidation(capsys, monkeypatch):
     real = search.is_saturated
     monkeypatch.setattr(
@@ -390,6 +404,13 @@ def test_catalog_text_lists_each_entry(capsys):
     )
     code, out, _ = run(capsys, "catalog", "--n", "3", "--pattern", "qk:3", "--format", "text")
     assert code == 0 and out == "q3-grid: size=-, construction needs n >= 4, got 3\n"
+
+
+@pytest.mark.parametrize("n", [0, -3, 25, 70])
+def test_catalog_outside_1_to_24_is_a_usage_error(capsys, n):
+    code, out, err = run(capsys, "catalog", "--n", str(n), "--pattern", "diamond")
+    assert code == 64 and out == ""
+    assert err == f"posetsat: error: catalog needs 1 <= n <= 24, got {n}\n"
 
 
 def test_catalog_report_validates(capsys):

@@ -215,6 +215,23 @@ def test_saturated_evidence_is_revalidated(monkeypatch, mode, certificate):
         is_saturated(chain_family(4), D, mode=mode, spot=8, seed=1, certificate=certificate)
 
 
+@pytest.mark.parametrize(
+    "f, p, mode, message",
+    [
+        (chain_family(6), D, "full", r"missing set \(2,\) creates a copy of diamond"),
+        (chain_family(6), make_v(), "full", r"missing set \(2,\) creates a copy of v"),
+        (chain_family(30), D, "spot", r"missing set \(.*\) creates a copy of diamond"),
+    ],
+    ids=["diamond", "v", "spot-30"],
+)
+def test_a_missing_set_that_creates_a_copy_is_an_internal_error(monkeypatch, f, p, mode, message):
+    # a scanner that calls its first mask a failure: {2} in a chain
+    for scanner in (saturate._DiamondScanner, saturate._CopyScanner):
+        monkeypatch.setattr(scanner, "first_failure", lambda self, batch: 0)
+    with pytest.raises(saturate.InternalCheckError, match=message):
+        is_saturated(f, p, mode=mode)
+
+
 @pytest.mark.parametrize("detector, p", [("find_diamond", D), ("find_induced", make_v())])
 def test_not_free_witness_is_revalidated(monkeypatch, detector, p):
     real = getattr(saturate, detector)
@@ -622,6 +639,46 @@ def _greedy_order(n, order, seed):
     elif order == "shuffle":
         random.Random(seed).shuffle(masks)
     return masks
+
+
+class _PassAll:
+    """A scanner stub for which every candidate creates a copy, so that
+    greedy accepts nothing; ``seen`` records the candidates."""
+
+    def __init__(self, seen=None):
+        self.seen = seen
+
+    def creates(self, s):
+        if self.seen is not None:
+            self.seen.append(s)
+        return True
+
+
+@pytest.mark.parametrize("order", ["canonical", "reverse", "shuffle"])
+def test_greedy_walks_its_candidates_in_the_reference_order(monkeypatch, order):
+    # n = 13 spans two of the scan's batches
+    for n in [*range(1, 11), 13]:
+        for seed in (0, 1, 7):
+            seen = []
+            monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll(seen))
+            assert greedy_saturate(SetFamily(n), D, order=order, seed=seed) == SetFamily(n)
+            assert seen == _greedy_order(n, order, seed)
+
+
+def test_a_shuffled_greedy_pass_over_17_runs_in_bounded_memory(monkeypatch):
+    # beside the cached order, the pass holds its int64 copy (1 MiB) and
+    # one batch as Python ints, and traces 1.75 MiB; the order shuffled as
+    # a list of 2^17 Python ints traced 5.0 MiB
+    monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll())
+    canonical_order(17)
+    tracemalloc.start()
+    try:
+        g = greedy_saturate(SetFamily(17), D, order="shuffle", seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == SetFamily(17)
+    assert peak < 3 << 20
 
 
 @given(st.integers(1, 4), st.sampled_from(["canonical", "reverse", "shuffle"]), st.integers(0, 999), st.data())
