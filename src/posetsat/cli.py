@@ -220,7 +220,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True)
     p.add_argument("--mode", default="full", help="full or spot:<k>")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--certificate", action="store_true", help="materialize the full certificate map")
+    p.add_argument("--certificate", action="store_true", help="check a witness for every missing set")
     common(p)
     p.set_defaults(func=_cmd_check)
 

@@ -39,8 +39,8 @@ and write words only through ``families``, which owns their layout.
 
 Witnesses are checked again by one implementation of the embedding
 conditions, ``first_invalid_row``: it takes rows of image masks, so a
-whole certificate is one vector pass, and ``validate_embedding`` hands
-it the one row of an :class:`Embedding`.
+batch of a certificate's rows is one vector pass, and
+``validate_embedding`` hands it the one row of an :class:`Embedding`.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ def validate_embedding(emb: Embedding) -> str | None:
     return None if bad is None else bad[1]
 
 
-# Rows per pass of first_invalid_row; a pass holds a few (k, k, rows) arrays.
-_CHECK_ROWS = 1 << 13
-
-
 def first_invalid_row(
     p: PatternPoset, images, members=None, added: np.ndarray | None = None
 ) -> tuple[int, str] | None:
@@ -116,35 +112,31 @@ def first_invalid_row(
     (``p.leq[a][b]`` iff ``x_a & x_b == x_a``) and, when ``members`` is
     given, members of it or ``added[i]``.  This is the one
     implementation of that test; validate_embedding applies it to one
-    row.  Returns None when every row passes.
+    row.  Returns None when every row passes.  It holds a few
+    (p.size, p.size, r) arrays, so callers pass a batch of rows at most.
     """
     k = p.size
-    images = np.array(images, dtype=np.uint64).reshape(-1, k)
-    leq = np.array(p.leq, dtype=bool)[:, :, None]
+    x = np.array(images, dtype=np.uint64).reshape(-1, k).T.copy()  # x[a]: point a's images
+    outside = np.zeros(x.shape[1], dtype=bool)
+    if members is not None:
+        member = np.isin(x, np.array(members, dtype=np.uint64), kind="sort")
+        if added is not None:
+            member |= x == np.asarray(added, dtype=np.uint64)
+        outside = ~member.all(0)
+    inside = (x[:, None] & x[None]) == x[:, None]  # inside[a, b]: x_a is inside x_b
     upper = (np.arange(k)[:, None] < np.arange(k))[:, :, None]  # the pairs a < b
-    family = None if members is None else np.array(members, dtype=np.uint64)
-    added = None if added is None else np.asarray(added, dtype=np.uint64)
-    for r0 in range(0, len(images), _CHECK_ROWS):
-        x = np.ascontiguousarray(images[r0:r0 + _CHECK_ROWS].T)  # x[a]: point a's images
-        outside = np.zeros(x.shape[1], dtype=bool)
-        if family is not None:
-            member = np.isin(x, family, kind="sort")
-            if added is not None:
-                member |= x == added[r0:r0 + _CHECK_ROWS]
-            outside = ~member.all(0)
-        inside = (x[:, None] & x[None]) == x[:, None]  # inside[a, b]: x_a is inside x_b
-        repeated = (inside & inside.transpose(1, 0, 2) & upper).any((0, 1))
-        mismatch = inside != leq
-        bad = np.flatnonzero(outside | repeated | mismatch.any((0, 1)))
-        if len(bad):
-            i = int(bad[0])
-            if outside[i]:
-                return r0 + i, "mapping index out of range"
-            if repeated[i]:
-                return r0 + i, "mapping is not injective"
-            a, b = divmod(int(mismatch[:, :, i].argmax()), k)
-            return r0 + i, f"relation mismatch at pattern pair ({a}, {b})"
-    return None
+    repeated = (inside & inside.transpose(1, 0, 2) & upper).any((0, 1))
+    mismatch = inside != np.array(p.leq, dtype=bool)[:, :, None]
+    bad = np.flatnonzero(outside | repeated | mismatch.any((0, 1)))
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    if outside[i]:
+        return i, "mapping index out of range"
+    if repeated[i]:
+        return i, "mapping is not injective"
+    a, b = divmod(int(mismatch[:, :, i].argmax()), k)
+    return i, f"relation mismatch at pattern pair ({a}, {b})"
 
 
 class _Plan:

@@ -36,14 +36,13 @@ scan's batches, whatever the order, and asks the scanner about one
 candidate at a time, growing it by each accepted set; a rejection is
 final, since a copy through a set survives every later addition.
 
-A full certificate keeps only the witness rows (:class:`Certificate`)
-and builds the :class:`Embedding` into f + {s} of an entry when it is
-read; the sample's few embeddings are built from rows the same way.  Every
-report is re-validated before it is returned: a NOT_FREE witness and
-the sample entry by entry with ``detect.validate_embedding``, and the
-certificate rows in one vector pass of ``detect.first_invalid_row``,
-the test behind both, which reads only the family, the pattern and the
-rows.
+A full certificate (:class:`Certificate`) is a view over the scanner
+that decided the report: it stores no rows, and builds those of one
+batch of the full scan, or one entry and its :class:`Embedding`, when
+read; a row depends only on its mask.  Every report is re-validated
+before it is returned: a NOT_FREE witness and the sample entry by entry
+with ``detect.validate_embedding``, and the certificate a batch of rows
+at a time with ``detect.first_invalid_row``, the test behind both.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -98,62 +97,76 @@ class InternalCheckError(RuntimeError):
 
 
 class Certificate(Mapping):
-    """Read-only map from added masks to the embeddings through them.
-
-    ``added`` holds the masks in canonical order and ``images`` one row
-    per mask: the (len(added), pattern.size) array of the masks the
-    pattern points map to in f + {s}.  Reading an entry builds its
-    :class:`Embedding` into ``family.add(s)``; nothing per entry is built
-    before that.
+    """Read-only map from each missing mask of a saturated family, in
+    canonical order, to an embedding through it: a view over the scanner
+    that decided the report, storing no rows.  ``rows()`` yields the rows
+    a batch of the full scan at a time; reading an entry asks the
+    scanner for its one row and builds its :class:`Embedding` into
+    ``family.add(s)``.
     """
 
-    def __init__(self, family: SetFamily, pattern: PatternPoset, added: np.ndarray, images: np.ndarray):
+    def __init__(self, family: SetFamily, scanner: _DiamondScanner | _CopyScanner):
         self.family = family
-        self.pattern = pattern
-        self.added = added
-        self.images = images
-
-    @cached_property
-    def _row_of(self) -> dict[int, int]:
-        return {m: r for r, m in enumerate(self.added.tolist())}
+        self.pattern = scanner.pattern
+        self._scanner = scanner
 
     def __len__(self) -> int:
-        return len(self.added)
+        return (1 << self.family.n) - len(self.family)
 
     def __iter__(self):
-        return iter(self.added.tolist())
+        for layer in _missing_layers(self.family):
+            yield from layer.tolist()
 
     def __contains__(self, s) -> bool:
-        return s in self._row_of
+        return isinstance(s, (int, np.integer)) and 0 <= s < 1 << self.family.n and s not in self.family
 
-    def __getitem__(self, s: int) -> Embedding:
-        return self.entry(self._row_of[s])[1]
+    def __getitem__(self, s) -> Embedding:
+        if s not in self:
+            raise KeyError(s)
+        return _entries(self.family, self._scanner, np.array([s], dtype=np.int64))[0][1]
 
-    def entry(self, row: int) -> tuple[int, Embedding]:
-        """(s, embedding) of one row."""
-        s = int(self.added[row])
-        extended = self.family.add(s)
-        index = {m: i for i, m in enumerate(extended.members)}
-        # a mask outside f + {s} gets an index past the end, which
-        # validate_embedding reports as out of range
-        past = len(index)
-        images = self.images[row].tolist()
-        return s, Embedding(extended, self.pattern, tuple(index.get(m, past) for m in images))
+    def rows(self):
+        """(batch, rows) per batch of the full scan: the missing masks and
+        their (len(batch), pattern.size) image masks in f + {s}."""
+        for batch in _batches(_missing_layers(self.family)):
+            yield batch, _witness_rows(self._scanner, batch)
 
     def first_fault(self) -> str | None:
         """The first row, in canonical order, that is not an induced copy
         through its added set, as validate_embedding and Embedding.uses
         would word it for that entry; None when every row passes.  Uses
         only the family, the pattern and the rows."""
-        bad = first_invalid_row(self.pattern, self.images, self.family.members, self.added)
-        uses = np.logical_or.reduce([column == self.added for column in self.images.T])
-        unused = np.flatnonzero(~uses)
-        if bad is not None and (not len(unused) or bad[0] <= unused[0]):
-            return f"certificate embedding for {elements_of(int(self.added[bad[0]]))} invalid: {bad[1]}"
-        if len(unused):
-            return (f"certificate embedding for {elements_of(int(self.added[unused[0]]))} "
-                    "does not use the added set")
+        for added, images in self.rows():
+            bad = first_invalid_row(self.pattern, images, self.family.members, added)
+            unused = np.flatnonzero(~(images == added[:, None]).any(1))
+            if bad is not None and (not len(unused) or bad[0] <= unused[0]):
+                return f"certificate embedding for {elements_of(int(added[bad[0]]))} invalid: {bad[1]}"
+            if len(unused):
+                return (f"certificate embedding for {elements_of(int(added[unused[0]]))} "
+                        "does not use the added set")
         return None
+
+
+def _witness_rows(scanner: _DiamondScanner | _CopyScanner, batch: np.ndarray) -> np.ndarray:
+    """The scanner's witness rows of a batch of passed masks; a mask with
+    no witness (a row of -1s from the tables) is an InternalCheckError."""
+    images = scanner.witnesses(batch)
+    lost = np.flatnonzero((images < 0).any(1))
+    if len(lost):
+        raise InternalCheckError(f"no witness found through {elements_of(int(batch[lost[0]]))}")
+    return images
+
+
+def _entries(f: SetFamily, scanner: _DiamondScanner | _CopyScanner, batch: np.ndarray) -> tuple:
+    """(s, embedding into f + {s}) per mask s of batch, from the scanner's
+    row of s; a mask outside f + {s} maps past the end, which
+    validate_embedding reports as out of range."""
+    out = []
+    for s, row in zip(batch.tolist(), _witness_rows(scanner, batch).tolist()):
+        extended = f.add(s)
+        index = {m: i for i, m in enumerate(extended.members)}
+        out.append((s, Embedding(extended, scanner.pattern, tuple(index.get(m, len(index)) for m in row))))
+    return tuple(out)
 
 
 @dataclass
@@ -163,10 +176,8 @@ class SaturationReport:
     NOT_FREE carries an embedding inside the family itself;
     FREE_NOT_SATURATED carries one missing mask whose addition creates
     no copy; SATURATED carries a sample of (missing mask, embedding)
-    pairs and, when requested, the full certificate: a
-    :class:`Certificate` holding every missing mask in canonical order
-    with one row of image masks each, whose embeddings are built when
-    read.
+    pairs and, when requested, the full :class:`Certificate`, whose rows
+    are built when read.
     """
 
     verdict: Verdict
@@ -205,7 +216,7 @@ class SaturationReport:
         return out
 
     def validate(self) -> str | None:
-        """Re-check all stored evidence with the independent validator:
+        """Re-check all evidence with the independent validator:
         the embedding, the missing set, then the sample, then the
         certificate rows.  A missing set s of a free f creates no copy
         exactly when f + {s} is free, which the in-family search
@@ -227,12 +238,14 @@ class SaturationReport:
 
 def _find_copy(f: SetFamily, p: PatternPoset) -> Embedding | None:
     """First induced copy of p inside f: find_diamond for the diamond,
-    find_induced otherwise."""
+    find_induced otherwise.  The diamond scanner's tables re-check that
+    f is free; other patterns' freeness rests on find_induced alone."""
     return find_diamond(f) if p == DIAMOND else find_induced(f, p)
 
 
 def is_free(f: SetFamily, p: PatternPoset) -> bool:
-    """True iff f contains no induced copy of p."""
+    """True iff f contains no induced copy of p, by _find_copy's search;
+    is_saturated re-checks it for the diamond only."""
     return _find_copy(f, p) is None
 
 
@@ -571,10 +584,14 @@ def _scanner(f: SetFamily, p: PatternPoset) -> _DiamondScanner | _CopyScanner:
     """The through-test scanner of a p-free family f: the tables for the
     diamond up to MAX_TABLE_N, the per-mask search otherwise.  Like
     find_diamond's, its witnesses name DIAMOND as their pattern for any
-    pattern equal to it, whatever name that was given."""
-    if p != DIAMOND:
-        return _CopyScanner(f, p)
-    return _DiamondScanner(f) if f.n <= MAX_TABLE_N else _CopyScanner(f, DIAMOND)
+    pattern equal to it, whatever name that was given.  The tables
+    re-check that f is diamond-free: no member lies inside a bottom generator."""
+    if p != DIAMOND or f.n > MAX_TABLE_N:
+        return _CopyScanner(f, DIAMOND if p == DIAMOND else p)
+    scanner = _DiamondScanner(f)
+    if scanner.subtab[scanner.bottoms[0]].any():
+        raise InternalCheckError("the family holds a diamond that find_diamond missed")
+    return scanner
 
 
 def is_saturated(
@@ -590,8 +607,8 @@ def is_saturated(
     ``mode="full"`` scans every missing subset (n <= 24); ``mode="spot"``
     samples ``spot`` missing subsets uniformly with the given seed (at
     most 2^24 above n = 24) and labels the report exhaustive only if the
-    sample is every missing subset.  With ``certificate=True`` the full map missing-set ->
-    embedding is materialized.
+    sample is every missing subset.  With ``certificate=True`` a full
+    report carries the map missing set -> embedding, checked a batch at a time.
     """
     return _saturation(f, p, mode, spot, seed, certificate)[0]
 
@@ -630,15 +647,14 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
     else:
         exhaustive, checked, seed = True, None, None
 
-    scanned, missing, passed = 0, None, []
+    scanned, missing, head = 0, None, np.empty(0, dtype=np.int64)
     for batch in _batches(masks):
         bad = scanner.first_failure(batch)
         if bad is not None:
             scanned += bad + 1
             missing = int(batch[bad])
             break
-        if certificate or not passed:
-            passed.append(batch)
+        head = head if scanned else batch[:_SAMPLE_LIMIT]
         scanned += len(batch)
 
     report = SaturationReport(
@@ -646,18 +662,10 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
         f, p, mode, exhaustive, scanned if checked is None else checked, missing=missing, seed=seed,
     )
     if missing is None:
-        # every mask passed, so the passing masks in scan order are the
+        # every mask passed, so the first batch starts with the first
         # missing (or sampled) masks in canonical order
-        added = np.concatenate(passed) if passed else np.empty(0, dtype=np.int64)
-        added = added if certificate else added[:_SAMPLE_LIMIT]
-        images = scanner.witnesses(added)
-        # the table scanner marks a mask without a witness by a row of -1s
-        lost = np.flatnonzero((images < 0).any(1))
-        if len(lost):
-            raise InternalCheckError(f"no witness found through {elements_of(int(added[lost[0]]))}")
-        cert = Certificate(f, scanner.pattern, added, images)
-        report.sample = tuple(cert.entry(r) for r in range(min(_SAMPLE_LIMIT, len(cert))))
-        report.certificate = cert if certificate else None
+        report.sample = _entries(f, scanner, head)
+        report.certificate = Certificate(f, scanner) if certificate else None
     return _validated(report), scanner
 
 

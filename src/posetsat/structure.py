@@ -49,7 +49,7 @@ from .families import (
     subset_table,
     superset_table,
 )
-from .saturate import SaturationReport, Verdict, _DiamondScanner, _first, _saturation
+from .saturate import SaturationReport, Verdict, _DiamondScanner, _first, _saturation, _scanner
 
 MAX_DECOMPOSE_N = 20
 # B0 and Y0 are listed in full in the JSON only up to this many members.
@@ -169,7 +169,7 @@ def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decompositio
         witness = find_diamond(f)
         if witness is not None:
             raise NotDiamondFreeError(witness)
-        tables = _DiamondScanner(f)
+        tables = _scanner(f, DIAMOND)
     full = f.full_mask
     (bottom_keys, _), (top_keys, _) = tables.bottoms, tables.tops
     A, B0, B1, B, GB, W, mA, b_witnesses = _primal_parts(f, tables.suptab, bottom_keys, tables.bottomable)

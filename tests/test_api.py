@@ -92,12 +92,14 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports names to re-export them
-    package = Path(posetsat.__file__).parent
+    # the package's modules and the test modules; __init__.py imports
+    # names to re-export them
+    package, tests = Path(posetsat.__file__).parent, Path(__file__).parent
+    paths = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
     unused = {
-        path.name: names
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+        f"{path.parent.name}/{path.name}": names
+        for path in paths + sorted(tests.glob("*.py"))
+        if (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
     assert _unused_imports("import itertools\nfrom a import b as c, d\nd()\n") == ["c", "itertools"]

@@ -79,7 +79,8 @@ def test_check_certificate_with_a_corrupted_row_exits_70(tmp_path, capsys, monke
 
     def witnesses(self, batch):
         images = real(self, batch)
-        images[9, 3] = images[9, 1]  # row 9 lies past the sample
+        if len(batch) > 9:  # row 9 lies past the sample, which asks for 8 rows
+            images[9, 3] = images[9, 1]
         return images
 
     monkeypatch.setattr(saturate._DiamondScanner, "witnesses", witnesses)
@@ -91,6 +92,17 @@ def test_check_certificate_with_a_corrupted_row_exits_70(tmp_path, capsys, monke
         "posetsat: internal inconsistency: certificate embedding for (1, 3, 4) "
         "invalid: mapping is not injective\n"
     )
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_a_diamond_the_in_family_check_misses_exits_70(tmp_path, capsys, monkeypatch, command):
+    # the diamond scanner's tables find the diamond find_diamond missed
+    for module in (saturate, structure):
+        monkeypatch.setattr(module, "find_diamond", lambda f: None)
+    pattern = ["--pattern", "diamond"] if command == "check" else []
+    code, out, err = run(capsys, command, "--family", write(tmp_path, "f", SetFamily(2, (0, 1, 2, 3))), *pattern)
+    assert code == 70 and out == ""
+    assert err == "posetsat: internal inconsistency: the family holds a diamond that find_diamond missed\n"
 
 
 def test_check_spot_mode_above_the_table_limit(tmp_path, capsys):
@@ -486,7 +498,7 @@ def test_check_outputs_are_pinned(tmp_path, capsys, spec, name):
     f = golden_family(name, p)
     digest = hashlib.sha256()
     cert = saturate.is_saturated(f, p, certificate=True).certificate
-    digest.update(b"none" if cert is None else cert.images.tobytes())
+    digest.update(b"none" if cert is None else b"".join(images.tobytes() for _, images in cert.rows()))
     path = write(tmp_path, "f", f)
     for extra in (["--certificate"], [], ["--mode", "spot:7"]):
         code, out, _ = run(capsys, "check", "--family", path, "--pattern", spec, *extra)

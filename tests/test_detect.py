@@ -360,6 +360,3 @@ def test_first_invalid_row_matches_the_row_loop(data, p, n):
         assert detect.first_invalid_row(p, [row], members, [s]) == want
     first = next(((r, want[1]) for r, want in enumerate(expected) if want), None)
     assert detect.first_invalid_row(p, rows, members, added) == first
-    # two rows per pass put pass boundaries between the rows
-    with mock.patch.object(detect, "_CHECK_ROWS", 2):
-        assert detect.first_invalid_row(p, rows, members, added) == first

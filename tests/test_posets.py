@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from posetsat.posets import (

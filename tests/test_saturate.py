@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetsat import saturate
+from posetsat import saturate, structure
 from posetsat.detect import creates_diamond, validate_embedding
 from posetsat.families import (
     SetFamily,
@@ -23,7 +23,7 @@ from posetsat.families import (
     subset_table,
     superset_table,
 )
-from posetsat.posets import make_chain, make_diamond, make_hypercube, make_v
+from posetsat.posets import make_diamond, make_hypercube, make_v
 from posetsat.saturate import (
     Verdict,
     chain_family,
@@ -36,6 +36,7 @@ from posetsat.saturate import (
     q3_construction,
     upper_bound_catalog,
 )
+from posetsat.structure import decompose, verify_structure_invariants
 
 import oracles
 
@@ -296,10 +297,19 @@ def test_certificate_row_faults(monkeypatch, corrupt, problem):
 
 
 @pytest.mark.parametrize("corrupt, problem", ROW_FAULTS, ids=["non-member", "repeated", "relation"])
-def test_row_check_words_faults_as_the_entry_check(corrupt, problem):
+def test_row_check_words_faults_as_the_entry_check(monkeypatch, corrupt, problem):
     cert = is_saturated(chain_family(5), D, certificate=True).certificate
-    corrupt(cert.images[12])
-    s = int(cert.added[12])
+    s = list(cert)[12]
+    real = saturate._DiamondScanner.witnesses
+
+    def witnesses(self, batch):
+        # the row of s, whether asked for in a batch or alone
+        images = real(self, batch)
+        for row in np.flatnonzero(batch == s):
+            corrupt(images[row])
+        return images
+
+    monkeypatch.setattr(saturate._DiamondScanner, "witnesses", witnesses)
     assert cert.first_fault() == f"certificate embedding for {elements_of(s)} {problem}"
     assert f"invalid: {validate_embedding(cert[s])}" == problem
 
@@ -308,7 +318,8 @@ def test_certificate_row_without_the_added_set():
     # a diamond of f that avoids s passes every other row check, and only
     # a family with a diamond has one
     f = SetFamily(3, (0, 1, 2, 3))
-    cert = saturate.Certificate(f, D, np.array([4]), np.array([[0, 1, 2, 3]]))
+    scanner = mock.Mock(pattern=D, witnesses=lambda batch: np.tile([0, 1, 2, 3], (len(batch), 1)))
+    cert = saturate.Certificate(f, scanner)
     report = saturate.SaturationReport(Verdict.SATURATED, f, D, "full", True, 1, certificate=cert)
     with pytest.raises(saturate.InternalCheckError) as err:
         saturate._validated(report)
@@ -339,6 +350,24 @@ def test_certificate_is_a_read_only_map_of_embeddings():
     assert 0 not in cert
     with pytest.raises(KeyError):
         cert[0]
+
+
+def test_certificate_entries_are_the_rows_it_checks():
+    # chain 13 has 8,178 missing sets, two batches of the full scan; an
+    # entry read alone is built from the row its batch gave
+    f = chain_family(13)
+    cert = is_saturated(f, D, certificate=True).certificate
+    batches = list(cert.rows())
+    assert [len(batch) for batch, _ in batches] == [4096, 4082]
+    rows = {s: tuple(row) for batch, images in batches for s, row in zip(batch.tolist(), images.tolist())}
+    assert list(rows) == list(cert)
+    assert {s: emb.image_masks() for s, emb in dict(cert.items()).items()} == rows
+    s = list(cert)[5000]
+    assert np.int64(s) in cert and cert[np.int64(s)] == cert[s]
+    for key in (np.int64(0b111), 1 << 13, -1, np.int64(-1), "4", None):
+        assert key not in cert
+        with pytest.raises(KeyError):
+            cert[key]
 
 
 def test_full_mode_cap():
@@ -503,6 +532,26 @@ def test_witnesses_match_the_witness_loop(f, data):
         assert rows(scanner.witnesses(missing)) == expected
     cut = data.draw(st.integers(0, len(missing)))
     assert rows(scanner.witnesses(missing[:cut])) + rows(scanner.witnesses(missing[cut:])) == expected
+
+
+@given(witness_families())
+@settings(max_examples=150, deadline=None)
+def test_the_tables_recheck_freeness_as_find_diamond_decides_it(f):
+    # a member inside a bottom generator is the bottom of a diamond
+    if saturate.find_diamond(f) is None:
+        assert isinstance(saturate._scanner(f, D), saturate._DiamondScanner)
+    else:
+        with pytest.raises(saturate.InternalCheckError, match="holds a diamond that find_diamond missed"):
+            saturate._scanner(f, D)
+
+
+@pytest.mark.parametrize("run", [lambda f: is_saturated(f, D), verify_structure_invariants, decompose],
+                         ids=["is_saturated", "verify_structure_invariants", "decompose"])
+def test_a_diamond_the_in_family_check_misses_is_an_internal_error(monkeypatch, run):
+    for module in (saturate, structure):
+        monkeypatch.setattr(module, "find_diamond", lambda f: None)
+    with pytest.raises(saturate.InternalCheckError, match="holds a diamond that find_diamond missed"):
+        run(SetFamily(2, (0, 1, 2, 3)))
 
 
 @given(scan_families())
@@ -784,6 +833,20 @@ def test_a_full_scan_of_a_chain_over_20_runs_in_bounded_memory(gap):
         tracemalloc.stop()
     assert rep.verdict is (Verdict.SATURATED if gap is None else Verdict.FREE_NOT_SATURATED)
     assert peak < 9 << 20
+
+
+def test_a_certificate_over_18_runs_in_bounded_memory():
+    # the certificate stores no rows: its check holds one batch of them
+    # beside the full scan, and traces 5.2 MiB; rows kept for all
+    # 262,125 missing sets traced 38.0 MiB
+    tracemalloc.start()
+    try:
+        rep = is_saturated(chain_family(18), D, certificate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is Verdict.SATURATED and len(rep.certificate) == (1 << 18) - 19
+    assert peak < 8 << 20
 
 
 @st.composite

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import json
 import random
 
