@@ -48,7 +48,7 @@ at a time with ``detect.first_invalid_row``, the test behind both.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -100,9 +100,11 @@ class Certificate(Mapping):
     """Read-only map from each missing mask of a saturated family, in
     canonical order, to an embedding through it: a view over the scanner
     that decided the report, storing no rows.  ``rows()`` yields the rows
-    a batch of the full scan at a time; reading an entry asks the
-    scanner for its one row and builds its :class:`Embedding` into
-    ``family.add(s)``.
+    a batch of the full scan at a time, and ``items()`` and ``values()``
+    (so ``==`` too) build the entries a batch at a time; reading one
+    entry asks the scanner for its one row and builds its
+    :class:`Embedding` into ``family.add(s)``, so ``dict(cert)``, which
+    reads key by key, asks once per entry.
     """
 
     def __init__(self, family: SetFamily, scanner: _DiamondScanner | _CopyScanner):
@@ -125,6 +127,12 @@ class Certificate(Mapping):
             raise KeyError(s)
         return _entries(self.family, self._scanner, np.array([s], dtype=np.int64))[0][1]
 
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
     def rows(self):
         """(batch, rows) per batch of the full scan: the missing masks and
         their (len(batch), pattern.size) image masks in f + {s}."""
@@ -145,6 +153,18 @@ class Certificate(Mapping):
                 return (f"certificate embedding for {elements_of(int(added[unused[0]]))} "
                         "does not use the added set")
         return None
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        cert = self._mapping
+        for batch in _batches(_missing_layers(cert.family)):
+            yield from _entries(cert.family, cert._scanner, batch)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return (emb for _, emb in _Items(self._mapping))
 
 
 def _witness_rows(scanner: _DiamondScanner | _CopyScanner, batch: np.ndarray) -> np.ndarray:
@@ -521,24 +541,21 @@ def _first(xs: np.ndarray, cands: np.ndarray, pred) -> np.ndarray:
 
     pred gets the open rows and a column of candidates and returns their
     (candidates, rows) matrix.  Candidates go in runs of about _FIRST_RUN
-    entries over the rows still open: one at a time, as one vector pass,
-    while many rows are open, and many at once when few are.  A row
-    leaves once a candidate holds for it.
+    entries over the rows still open: a few while many rows are open (at
+    least four over a scanner batch of at most _MAX_BATCH masks), and
+    many when few are.  A row leaves once a candidate holds for it.
     """
     out = np.full(len(xs), -1, dtype=np.int64)
     rows, x, c0 = np.arange(len(xs)), xs, 0
     while len(rows) and c0 < len(cands):
         hit = pred(x, cands[c0:c0 + max(1, _FIRST_RUN // len(rows)), None])
         width = len(hit)
-        if width == 1:
-            got, first = hit[0], c0
-        else:
-            # the first hit per row is the largest of descending weights
-            # (argmax over axis 0 is slow); width means none
-            weights = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))[:, None]
-            first = width - (hit * weights).max(0).astype(np.int64)
-            got = first < width
-            first = c0 + first[got]
+        # the first hit per row is the largest of descending weights
+        # (argmax over axis 0 is slow); width means none
+        weights = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))[:, None]
+        first = width - (hit * weights).max(0).astype(np.int64)
+        got = first < width
+        first = c0 + first[got]
         if got.any():
             out[rows[got]] = first
             rows, x = rows[~got], x[~got]

@@ -224,18 +224,6 @@ def sat_star_exact(
     return manifest
 
 
-def _tag(fam: SetFamily) -> str:
-    key = tuple(fam.members)
-    n = fam.n
-    if key == canonical_key(chain_family(n)):
-        return TAG_CHAIN
-    if key == canonical_key(empty_plus_singletons(n)):
-        return TAG_EMPTY_SINGLETONS
-    if key == canonical_key(full_plus_cosingletons(n)):
-        return TAG_COSINGLETONS
-    return TAG_OTHER
-
-
 def classify_minimum(n: int, p: PatternPoset) -> tuple[list[tuple[SetFamily, str]], SearchManifest]:
     """All minimum p-saturated families up to ground-set relabeling,
     each tagged against the named constructions; an OTHER tag is a
@@ -245,7 +233,13 @@ def classify_minimum(n: int, p: PatternPoset) -> tuple[list[tuple[SetFamily, str
     cap = _default_cap(n, p, None)
     allowed = canonical_order(n).tolist()
     manifest, winners = _run_layers("classify", "classify", n, p, allowed, cap, True)
-    tagged = [(fam, _tag(fam)) for fam in winners]
+    # a later key wins a tie, so the chain does at n = 1, where all three agree
+    tags = {
+        canonical_key(full_plus_cosingletons(n)): TAG_COSINGLETONS,
+        canonical_key(empty_plus_singletons(n)): TAG_EMPTY_SINGLETONS,
+        canonical_key(chain_family(n)): TAG_CHAIN,
+    }
+    tagged = [(fam, tags.get(tuple(fam.members), TAG_OTHER)) for fam in winners]
     if winners:
         manifest.result["representatives"] = [
             {"tag": tag, "family": family_to_json(fam)} for fam, tag in tagged

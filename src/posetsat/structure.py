@@ -18,10 +18,10 @@ by running the same construction on the complement family and
 complementing the results back.
 
 The decomposition shares the diamond scanner's tables (``saturate``):
-the complement family's tables are the same ones reversed and
-complemented, so none is built twice.  ``verify_structure_invariants``
-hands over the tables its saturation scan has built; only the public
-``decompose`` runs ``find_diamond`` and builds them itself.
+B0 and Y0 are its ``bottomable`` and ``topable``, and the complement
+family's superset table is ``subtab`` reversed, so none is built twice.
+``verify_structure_invariants`` hands over the tables of its saturation
+scan; only the public ``decompose`` runs ``find_diamond`` and builds them.
 
 ``verify_structure_invariants`` evaluates a fixed list of structural
 facts (identified as L2.1 .. P4.3) that hold for every diamond-saturated
@@ -117,14 +117,13 @@ class Decomposition:
         return out
 
 
-def _primal_parts(f: SetFamily, suptab: np.ndarray, gens: np.ndarray, bottomable: np.ndarray) -> tuple:
-    """(A, B0, B1, B, GB, W, mA, witnesses) of f, from its superset table,
-    the bottom generators (intersections of incomparable member pairs with
-    a common top) and the table of the sets inside some generator."""
+def _primal_parts(f: SetFamily, suptab: np.ndarray, gens: np.ndarray) -> tuple:
+    """(A, B1, B, GB, W, mA, witnesses) of f, from its superset table and
+    the bottom generators (intersections of incomparable member pairs
+    with a common top)."""
     n = f.n
     A = minimal_sets(f)
     mA = max((a.bit_count() for a in A.members), default=0)
-    B0 = SetFamily(n, tuple(np.flatnonzero(bottomable).tolist()))
     B1 = maximal_sets(SetFamily(n, tuple(gens.tolist())))
     B = SetFamily(n, tuple(g for g in B1.members if not any(g & a == g for a in A.members)))
 
@@ -147,7 +146,7 @@ def _primal_parts(f: SetFamily, suptab: np.ndarray, gens: np.ndarray, bottomable
             pm, rm = int(sups[rows[0]]), int(sups[mate[rows[0]]])
             union = pm | rm
             witnesses[b] = (pm, rm, int(ms[np.argmax(ms & union == union)]))
-    return A, B0, B1, B, SetFamily(n, tuple(gb_masks)), w_of(A), mA, witnesses
+    return A, B1, B, SetFamily(n, tuple(gb_masks)), w_of(A), mA, witnesses
 
 
 def decompose(f: SetFamily) -> Decomposition:
@@ -159,9 +158,9 @@ def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decompositio
     """decompose, from the tables of a diamond scanner over f when given
     (the family is then known to be diamond-free).
 
-    The complement family's superset table is ``subtab`` reversed, and its
-    bottom generators and their table are the complements of the top
-    generators and ``topable`` reversed.
+    B0 and Y0 are the sets marked in ``bottomable`` and ``topable``.  The
+    complement family's superset table is ``subtab`` reversed, and its
+    bottom generators are the complements of the top generators.
     """
     if f.n > MAX_DECOMPOSE_N:
         raise ValueError(f"decomposition needs n <= {MAX_DECOMPOSE_N}, got {f.n}")
@@ -172,12 +171,11 @@ def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decompositio
         tables = _scanner(f, DIAMOND)
     full = f.full_mask
     (bottom_keys, _), (top_keys, _) = tables.bottoms, tables.tops
-    A, B0, B1, B, GB, W, mA, b_witnesses = _primal_parts(f, tables.suptab, bottom_keys, tables.bottomable)
+    B0, Y0 = (SetFamily(f.n, tuple(np.flatnonzero(t).tolist())) for t in (tables.bottomable, tables.topable))
+    A, B1, B, GB, W, mA, b_witnesses = _primal_parts(f, tables.suptab, bottom_keys)
     # the complement family's parts, complemented back
-    *parts, Wbar, _, witnesses = _primal_parts(
-        complement_family(f), tables.subtab[::-1], full ^ top_keys, tables.topable[::-1]
-    )
-    X, Y0, Y1, Y, HY = (SetFamily(f.n, tuple(full ^ m for m in g.members)) for g in parts)
+    *parts, Wbar, _, witnesses = _primal_parts(complement_family(f), tables.subtab[::-1], full ^ top_keys)
+    X, Y1, Y, HY = (SetFamily(f.n, tuple(full ^ m for m in g.members)) for g in parts)
     y_witnesses = {full ^ b: (full ^ c, full ^ d, full ^ e) for b, (c, d, e) in witnesses.items()}
     return Decomposition(f, A, B0, B1, B, GB, W, mA, X, Y0, Y1, Y, HY, Wbar, b_witnesses, y_witnesses)
 

@@ -370,6 +370,17 @@ def test_analyze_exit_codes_off_the_saturated_path(tmp_path, capsys):
     assert [e["set"] for e in doc["saturation"]["witness"]["map"]] == [[], [1], [2], [1, 2]]
 
 
+def test_analyze_reports_emit_exactly_the_schema_keys(tmp_path, capsys):
+    head = {"tool", "version", "command", "config"}
+    body = set(schema("analyze_report")["properties"]) - head
+    standing = greedy_saturate(SetFamily(5, ()), DIAMOND, order="shuffle", seed=0)
+    vacuous = chain_family(5).without(0b11)
+    not_free = SetFamily(2, (0, 1, 2, 3))
+    for name, family in [("standing", standing), ("vacuous", vacuous), ("not_free", not_free)]:
+        _, out, _ = run(capsys, "analyze", "--family", write(tmp_path, name, family))
+        assert set(json.loads(out)) - head == body, name
+
+
 def test_analyze_exits_70_when_an_invariant_fails(tmp_path, capsys, monkeypatch):
     first = structure._LEMMAS[0]
     broken = dataclasses.replace(first, check=lambda f, dec, nested: (False, {"forced": True}))

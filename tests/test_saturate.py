@@ -370,6 +370,24 @@ def test_certificate_entries_are_the_rows_it_checks():
             cert[key]
 
 
+def test_certificate_bulk_reads_go_a_batch_at_a_time(monkeypatch):
+    # one witnesses call per batch of the full scan, not one per entry
+    cert = is_saturated(chain_family(13), D, certificate=True).certificate
+    real, calls = saturate._DiamondScanner.witnesses, []
+
+    def witnesses(self, batch):
+        calls.append(len(batch))
+        return real(self, batch)
+
+    monkeypatch.setattr(saturate._DiamondScanner, "witnesses", witnesses)
+    items = dict(cert.items())
+    assert calls == [4096, 4082] and len(items) == len(cert)
+    calls.clear()
+    assert list(cert.values()) == list(items.values()) and calls == [4096, 4082]
+    calls.clear()
+    assert cert == cert and calls == [4096, 4082] * 2
+
+
 def test_full_mode_cap():
     with pytest.raises(ValueError):
         is_saturated(SetFamily(25), D, mode="full")

@@ -9,7 +9,7 @@ from posetsat import detect, search
 from posetsat.detect import copy_blocked, diamond_blocked
 from posetsat.families import SetFamily, canonical_order, family_words, full_word, word_bits
 from posetsat.posets import make_diamond, pattern_from_spec
-from posetsat.saturate import Q3, InternalCheckError, Verdict, greedy_saturate
+from posetsat.saturate import Q3, InternalCheckError, Verdict, chain_family, greedy_saturate
 from posetsat.search import classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
 
 import oracles
@@ -141,6 +141,14 @@ def test_classify_census_at_n5():
     assert census(doc) == CLASSIFY5_CENSUS
     assert doc["result"]["value"] == 6 and doc["result"]["witness_count"] == 3
     assert sorted(tag for _, tag in tagged) == ["chain", "empty+singletons", "full+cosingletons"]
+
+
+def test_classify_tags_ties_with_the_first_construction():
+    # at n = 1 the chain, {}+singletons and full+cosingletons coincide
+    (tagged,), _ = classify_minimum(1, D)
+    assert tagged == (chain_family(1), "chain")
+    tagged, _ = classify_minimum(3, D)
+    assert [tag for _, tag in tagged] == ["empty+singletons", "chain", "full+cosingletons"]
 
 
 @pytest.mark.parametrize("n", sorted(NOEXTREMES))

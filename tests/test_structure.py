@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +48,21 @@ def test_decompose_two_level_example():
 def test_decompose_rejects_non_free():
     with pytest.raises(NotDiamondFreeError):
         decompose(SetFamily(2, (0, 1, 2, 3)))
+
+
+def test_decompose_reads_b0_and_y0_off_the_tables_in_bounded_memory():
+    # Y0 holds every set of at least two elements; reading it off topable
+    # peaks at 9.6 MiB, and building it through the complement family
+    # peaked at 12.2 MiB
+    f = empty_plus_singletons(16)
+    tracemalloc.start()
+    try:
+        dec = decompose(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.B0) == 0 and len(dec.Y0) == (1 << 16) - 17
+    assert peak < 11 << 20
 
 
 def test_decompose_respects_cap():
