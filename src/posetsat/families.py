@@ -76,7 +76,9 @@ def cardinality_layers(n: int) -> Iterator[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def canonical_order(n: int) -> np.ndarray:
-    """All masks of [n] in canonical order: entry r has rank r."""
+    """All masks of [n] in canonical order: entry r has rank r.  Cached, so
+    it serves only n <= 8 (the search, the word tables and canonical_key);
+    a walk over 2^[n] streams cardinality_layers instead."""
     return np.concatenate(list(cardinality_layers(n)))
 
 

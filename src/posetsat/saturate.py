@@ -19,9 +19,8 @@ per mask, with no 2^n table, so it also serves the diamond up to
 n = 64.  Either names DIAMOND in the witnesses of any pattern equal to
 it, as ``find_diamond`` does in a NOT_FREE witness.
 
-Every scan takes its masks in numpy batches that start at 2^12 masks
-and double up to 2^14, so a family that fails early stops early while a
-long scan pays numpy's per-call overhead rarely, and a batch's
+Every walk over 2^[n] takes its masks in numpy batches of 2^14, so a
+long scan pays numpy's per-call overhead rarely and a batch's
 temporaries stay small.  The full scan cuts them from the runs of the
 cardinality layers of ``families`` between members, which are views of
 the layer; so besides the scanner's tables it holds two layers (the one
@@ -31,10 +30,10 @@ a sample as large as the missing sets is the full scan, with no draw,
 and above n = 24 a sample holds at most 2^24 masks.  The scan stops at
 the first batch holding a failure, and the report names the canonical
 first failure, so verdict and evidence never depend on batch
-boundaries.  Greedy completion walks one stream of candidates in the
-scan's batches, whatever the order, and asks the scanner about one
-candidate at a time, growing it by each accepted set; a rejection is
-final, since a copy through a set survives every later addition.
+boundaries.  Greedy completion walks the same layers in the same
+batches, whatever the order, and asks the scanner about one candidate
+at a time, growing it by each accepted set; a rejection is final, since
+a copy through a set survives every later addition.
 
 A full certificate (:class:`Certificate`) is a view over the scanner
 that decided the report: it stores no rows, and builds those of one
@@ -70,7 +69,6 @@ from .families import (
     MAX_TABLE_N,
     SetFamily,
     canonical_permutation,
-    canonical_order,
     cardinality_layers,
     elements_of,
     family_to_json,
@@ -282,23 +280,21 @@ def _missing_layers(f: SetFamily):
                 yield layer[start:stop]
 
 
-_FIRST_BATCH = 1 << 12
 _MAX_BATCH = 1 << 14
 
 
 def _batches(arrays):
-    """The masks of a sequence of arrays that runs in canonical order, in
-    batches of doubling size (from _FIRST_BATCH up to _MAX_BATCH); only
-    the last may be short."""
-    size, parts, count = _FIRST_BATCH, [], 0
+    """The masks of a sequence of arrays, in their order, in batches of
+    _MAX_BATCH masks; only the last may be short."""
+    parts, count = [], 0
     for layer in arrays:
         while len(layer):
-            part, layer = layer[: size - count], layer[size - count:]
+            part, layer = layer[:_MAX_BATCH - count], layer[_MAX_BATCH - count:]
             parts.append(part)
             count += len(part)
-            if count == size:
+            if count == _MAX_BATCH:
                 yield np.concatenate(parts)
-                size, parts, count = min(2 * size, _MAX_BATCH), [], 0
+                parts, count = [], 0
     if parts:
         yield np.concatenate(parts)
 
@@ -542,8 +538,8 @@ def _first(xs: np.ndarray, cands: np.ndarray, pred) -> np.ndarray:
     pred gets the open rows and a column of candidates and returns their
     (candidates, rows) matrix.  Candidates go in runs of about _FIRST_RUN
     entries over the rows still open: a few while many rows are open (at
-    least four over a scanner batch of at most _MAX_BATCH masks), and
-    many when few are.  A row leaves once a candidate holds for it.
+    least four over a full scanner batch of _MAX_BATCH masks), and many
+    when few are.  A row leaves once a candidate holds for it.
     """
     out = np.full(len(xs), -1, dtype=np.int64)
     rows, x, c0 = np.arange(len(xs)), xs, 0
@@ -703,9 +699,11 @@ def greedy_saturate(
     ``reverse``, or seeded ``shuffle``); each set that keeps the family
     free is added.  After one pass the result is saturated: any rejected
     set already created a copy against a subfamily of the result.  The
-    candidates are one array walked in _batches: the cached
-    ``canonical_order``, its reversed view, or an int64 copy (128 MiB at
-    n = 24) that ``shuffle`` permutes as it would a list, by swaps.
+    candidates stream in _batches from ``cardinality_layers``: as they
+    come for ``canonical``, each complemented for ``reverse`` (the
+    complements of layer c, ascending, are layer n - c, descending), and
+    concatenated into one int64 array (128 MiB at n = 24) that
+    ``shuffle`` permutes as it would a list, by swaps.
     Each candidate is one ``creates`` of the scanner, which grows by each
     accepted set; for the diamond that is a lookup in tables grown in
     place.  The scanner starts from the empty family, whose tables need
@@ -717,17 +715,18 @@ def greedy_saturate(
         raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
-    masks = canonical_order(f.n)
+    layers = cardinality_layers(f.n)
     if order == "reverse":
-        masks = masks[::-1]
+        layers = (f.full_mask ^ layer for layer in layers)
     elif order == "shuffle":
-        masks = masks.copy()
+        masks = np.concatenate(list(layers))
         random.Random(seed).shuffle(masks)
+        layers = [masks]
     scanner = _scanner(SetFamily(f.n), p)
     for m in f.members:
         scanner.grow(m)
     present = set(f.members)
-    for batch in _batches([masks]):
+    for batch in _batches(layers):
         for m in batch.tolist():
             if m not in present and not scanner.creates(m):
                 scanner.grow(m)
@@ -767,6 +766,14 @@ def q3_construction(n: int) -> SetFamily:
     return SetFamily(n, tuple(masks))
 
 
+# The named diamond-saturated constructions, for the catalog and classify
+DIAMOND_CONSTRUCTIONS = (
+    ("chain", chain_family),
+    ("empty+singletons", empty_plus_singletons),
+    ("full+cosingletons", full_plus_cosingletons),
+)
+
+
 @dataclass
 class CatalogEntry:
     name: str
@@ -793,11 +800,7 @@ def upper_bound_catalog(n: int, p: PatternPoset) -> list[CatalogEntry]:
     if not 1 <= n <= MAX_FULL_N:
         raise ValueError(f"catalog needs 1 <= n <= {MAX_FULL_N}, got {n}")
     if p == DIAMOND:
-        builders = [
-            ("chain", chain_family),
-            ("empty+singletons", empty_plus_singletons),
-            ("full+cosingletons", full_plus_cosingletons),
-        ]
+        builders = DIAMOND_CONSTRUCTIONS
     elif p == Q3:
         builders = [("q3-grid", q3_construction)]
     else:

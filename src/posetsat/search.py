@@ -42,23 +42,11 @@ from .families import (
     SetFamily, after_words, canonical_order, family_to_json, family_words, full_word, popcounts, word_ranks
 )
 from .posets import PatternPoset
-from .saturate import (
-    Q3,
-    InternalCheckError,
-    Verdict,
-    chain_family,
-    empty_plus_singletons,
-    full_plus_cosingletons,
-    is_saturated,
-    q3_construction,
-)
+from .saturate import DIAMOND_CONSTRUCTIONS, Q3, InternalCheckError, Verdict, is_saturated, q3_construction
 
 MAX_EXACT_N = 6
 MAX_CLASSIFY_N = 5
 
-TAG_CHAIN = "chain"
-TAG_EMPTY_SINGLETONS = "empty+singletons"
-TAG_COSINGLETONS = "full+cosingletons"
 TAG_OTHER = "OTHER"
 
 
@@ -233,12 +221,11 @@ def classify_minimum(n: int, p: PatternPoset) -> tuple[list[tuple[SetFamily, str
     cap = _default_cap(n, p, None)
     allowed = canonical_order(n).tolist()
     manifest, winners = _run_layers("classify", "classify", n, p, allowed, cap, True)
-    # a later key wins a tie, so the chain does at n = 1, where all three agree
-    tags = {
-        canonical_key(full_plus_cosingletons(n)): TAG_COSINGLETONS,
-        canonical_key(empty_plus_singletons(n)): TAG_EMPTY_SINGLETONS,
-        canonical_key(chain_family(n)): TAG_CHAIN,
-    }
+    # the first construction wins a tie, so the chain does at n = 1, where
+    # all three agree
+    tags = {}
+    for name, build in DIAMOND_CONSTRUCTIONS:
+        tags.setdefault(canonical_key(build(n)), name)
     tagged = [(fam, tags.get(tuple(fam.members), TAG_OTHER)) for fam in winners]
     if winners:
         manifest.result["representatives"] = [

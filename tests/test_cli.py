@@ -311,6 +311,26 @@ def test_noextremes_manifest_validates(capsys):
     assert (result["status"], result["value"], result["witness_count"]) == ("exact", 8, 2)
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["satstar", "--n", "4", "--pattern", "diamond"], "5\n"),
+        (["satstar", "--n", "4", "--pattern", "diamond", "--size-cap", "3"], "lower_bound\n"),
+        (
+            ["classify", "--n", "3", "--pattern", "diamond"],
+            "empty+singletons: [[], [1], [2], [3]]\n"
+            "chain: [[], [1], [1, 2], [1, 2, 3]]\n"
+            "full+cosingletons: [[1, 2], [1, 3], [2, 3], [1, 2, 3]]\n",
+        ),
+        (["noextremes", "--n", "3", "--pattern", "diamond"], "6\n"),
+        (["noextremes", "--n", "2", "--pattern", "diamond"], "infeasible\n"),
+    ],
+)
+def test_search_text_outputs_are_pinned(capsys, argv, text):
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0 and out == text
+
+
 def test_hasse_draws_the_covers_of_a_chain(tmp_path, capsys):
     code, out, _ = run(capsys, "hasse", "--family", write(tmp_path, "chain3", chain_family(3)))
     assert code == 0
@@ -445,6 +465,27 @@ def test_catalog_report_validates(capsys):
         ("chain", True, 5, "SATURATED"),
         ("empty+singletons", True, 5, "SATURATED"),
         ("full+cosingletons", True, 5, "SATURATED"),
+    ]
+
+
+def test_a_catalog_construction_that_fails_verification_is_reported_not_emitted(capsys, monkeypatch):
+    real = saturate.is_saturated
+
+    def is_saturated(f, p, **kwargs):
+        report = real(f, p, **kwargs)
+        if f == empty_plus_singletons(4):
+            return dataclasses.replace(report, verdict=saturate.Verdict.FREE_NOT_SATURATED)
+        return report
+
+    monkeypatch.setattr(saturate, "is_saturated", is_saturated)
+    code, out, _ = run(capsys, "catalog", "--n", "4", "--pattern", "diamond")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("catalog_report"))
+    assert [(e["name"], e["emitted"], e["size"], e["reason"], e["verdict"]) for e in doc["entries"]] == [
+        ("chain", True, 5, None, "SATURATED"),
+        ("empty+singletons", False, 5, "verdict FREE_NOT_SATURATED", "FREE_NOT_SATURATED"),
+        ("full+cosingletons", True, 5, None, "SATURATED"),
     ]
 
 

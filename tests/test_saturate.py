@@ -327,6 +327,18 @@ def test_certificate_row_without_the_added_set():
     assert validate_embedding(cert[4]) is None and not cert[4].uses(4)
 
 
+def test_sample_entry_without_the_added_set():
+    # the sample is checked entry by entry, before any certificate
+    f = SetFamily(3, (0, 1, 2, 3))
+    g = f.add(4)
+    emb = saturate.Embedding(g, D, tuple(g.members.index(m) for m in (0, 1, 2, 3)))
+    report = saturate.SaturationReport(Verdict.SATURATED, f, D, "full", True, 1, sample=((4, emb),))
+    with pytest.raises(saturate.InternalCheckError) as err:
+        saturate._validated(report)
+    assert str(err.value) == "certificate embedding for (3,) does not use the added set"
+    assert validate_embedding(emb) is None and not emb.uses(4)
+
+
 def test_first_bad_certificate_row_is_named(monkeypatch):
     corrupt_row(monkeypatch, 30, repeat_middle)
     seen = corrupt_row(monkeypatch, 20, swap_bottom_and_top)
@@ -353,18 +365,18 @@ def test_certificate_is_a_read_only_map_of_embeddings():
 
 
 def test_certificate_entries_are_the_rows_it_checks():
-    # chain 13 has 8,178 missing sets, two batches of the full scan; an
+    # chain 15 has 32,752 missing sets, two batches of the full scan; an
     # entry read alone is built from the row its batch gave
-    f = chain_family(13)
+    f = chain_family(15)
     cert = is_saturated(f, D, certificate=True).certificate
     batches = list(cert.rows())
-    assert [len(batch) for batch, _ in batches] == [4096, 4082]
+    assert [len(batch) for batch, _ in batches] == [16384, 16368]
     rows = {s: tuple(row) for batch, images in batches for s, row in zip(batch.tolist(), images.tolist())}
     assert list(rows) == list(cert)
     assert {s: emb.image_masks() for s, emb in dict(cert.items()).items()} == rows
-    s = list(cert)[5000]
+    s = list(cert)[20000]
     assert np.int64(s) in cert and cert[np.int64(s)] == cert[s]
-    for key in (np.int64(0b111), 1 << 13, -1, np.int64(-1), "4", None):
+    for key in (np.int64(0b111), 1 << 15, -1, np.int64(-1), "4", None):
         assert key not in cert
         with pytest.raises(KeyError):
             cert[key]
@@ -372,7 +384,7 @@ def test_certificate_entries_are_the_rows_it_checks():
 
 def test_certificate_bulk_reads_go_a_batch_at_a_time(monkeypatch):
     # one witnesses call per batch of the full scan, not one per entry
-    cert = is_saturated(chain_family(13), D, certificate=True).certificate
+    cert = is_saturated(chain_family(15), D, certificate=True).certificate
     real, calls = saturate._DiamondScanner.witnesses, []
 
     def witnesses(self, batch):
@@ -381,11 +393,11 @@ def test_certificate_bulk_reads_go_a_batch_at_a_time(monkeypatch):
 
     monkeypatch.setattr(saturate._DiamondScanner, "witnesses", witnesses)
     items = dict(cert.items())
-    assert calls == [4096, 4082] and len(items) == len(cert)
+    assert calls == [16384, 16368] and len(items) == len(cert)
     calls.clear()
-    assert list(cert.values()) == list(items.values()) and calls == [4096, 4082]
+    assert list(cert.values()) == list(items.values()) and calls == [16384, 16368]
     calls.clear()
-    assert cert == cert and calls == [4096, 4082] * 2
+    assert cert == cert and calls == [16384, 16368] * 2
 
 
 def test_full_mode_cap():
@@ -595,13 +607,13 @@ def test_pair_generators_match_the_pair_loop(f):
 
 @pytest.mark.parametrize("k", [None, 8, 10, 12])
 def test_scan_past_the_first_batch(k):
-    # 2^13 - 14 missing sets span two batches; the chain without its
-    # k-set for 8 <= k <= 12 first fails past the first 2^12 of them.
-    f = chain_family(13)
+    # 2^16 - 17 missing sets span four batches; the chain without its
+    # k-set for 8 <= k <= 12 first fails past the first 2^14 of them.
+    f = chain_family(16)
     if k is not None:
         f = f.without((1 << k) - 1)
         checked, _, _ = oracles.scan_reference(f, lambda s: creates_diamond(f.members, s))
-        assert checked > 1 << 12
+        assert checked > 1 << 14
     assert_matches_scan_reference(f, D, lambda s: creates_diamond(f.members, s))
 
 
@@ -723,8 +735,8 @@ class _PassAll:
 
 @pytest.mark.parametrize("order", ["canonical", "reverse", "shuffle"])
 def test_greedy_walks_its_candidates_in_the_reference_order(monkeypatch, order):
-    # n = 13 spans two of the scan's batches
-    for n in [*range(1, 11), 13]:
+    # n = 15 spans two of the scan's batches
+    for n in [*range(1, 11), 13, 15]:
         for seed in (0, 1, 7):
             seen = []
             monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll(seen))
@@ -733,11 +745,10 @@ def test_greedy_walks_its_candidates_in_the_reference_order(monkeypatch, order):
 
 
 def test_a_shuffled_greedy_pass_over_17_runs_in_bounded_memory(monkeypatch):
-    # beside the cached order, the pass holds its int64 copy (1 MiB) and
-    # one batch as Python ints, and traces 1.75 MiB; the order shuffled as
-    # a list of 2^17 Python ints traced 5.0 MiB
+    # the pass holds the layers, their int64 concatenation (1 MiB each)
+    # and one batch as Python ints, and traces 2.0 MiB; the order shuffled
+    # as a list of 2^17 Python ints traced 5.0 MiB
     monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll())
-    canonical_order(17)
     tracemalloc.start()
     try:
         g = greedy_saturate(SetFamily(17), D, order="shuffle", seed=1)
@@ -746,6 +757,30 @@ def test_a_shuffled_greedy_pass_over_17_runs_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert g == SetFamily(17)
     assert peak < 3 << 20
+
+
+def test_a_canonical_greedy_pass_over_20_runs_in_bounded_memory(monkeypatch):
+    # the pass holds two cardinality layers (1.4 MiB each at most) and one
+    # batch as Python ints, and traces 4.1 MiB; the 2^20 masks of the
+    # whole order take 8 MiB
+    monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll())
+    canonical_order.cache_clear()
+    tracemalloc.start()
+    try:
+        g = greedy_saturate(SetFamily(20), D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == SetFamily(20)
+    assert peak < 6 << 20
+
+
+@pytest.mark.parametrize("order", ["canonical", "reverse", "shuffle"])
+def test_greedy_keeps_no_order_of_2_to_the_n_masks_cached(monkeypatch, order):
+    monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll())
+    canonical_order.cache_clear()
+    assert greedy_saturate(SetFamily(18), D, order=order) == SetFamily(18)
+    assert canonical_order.cache_info().currsize == 0
 
 
 @given(st.integers(1, 4), st.sampled_from(["canonical", "reverse", "shuffle"]), st.integers(0, 999), st.data())
@@ -795,11 +830,11 @@ def test_seeded_greedy_diamond_completions_are_pinned(n):
 
 
 def test_greedy_checks_the_order_before_building_candidates(monkeypatch):
-    # the candidate list holds 2^n masks: 221 MB at n = 22
+    # the shuffled candidates hold 2^n masks: 32 MiB at n = 22
     def refuse(n):
         raise AssertionError("candidates built before the order was checked")
 
-    monkeypatch.setattr(saturate, "canonical_order", refuse)
+    monkeypatch.setattr(saturate, "cardinality_layers", refuse)
     with pytest.raises(ValueError, match="unknown order 'sideways'"):
         greedy_saturate(SetFamily(22), D, order="sideways")
 
