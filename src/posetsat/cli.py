@@ -32,7 +32,7 @@ from .families import FamilyFormatError, SetFamily, parse_family
 from .hasse import hasse_dot
 from .posets import PatternFormatError, PatternPoset, parse_pattern, pattern_from_spec
 from .saturate import InternalCheckError, Verdict, is_saturated, upper_bound_catalog
-from .search import classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
+from .search import SearchManifest, classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
 from .structure import verify_structure_invariants
 
 EXIT_OK = 0
@@ -61,6 +61,16 @@ def _emit(args: argparse.Namespace, body: dict) -> None:
     """Print body as JSON under the tool, version, command and config fields."""
     head = {"tool": "posetsat", "version": __version__, "command": args.command, "config": _config_echo(args)}
     print(json.dumps({**head, **body}, sort_keys=True, indent=2))
+
+
+def _emit_search(args: argparse.Namespace, manifest: SearchManifest) -> int:
+    """Print a search manifest as JSON, or as text its value when exact
+    and its status otherwise."""
+    if args.format == "json":
+        _emit(args, manifest.to_json())
+    else:
+        print(manifest.result.get("value", manifest.result["status"]))
+    return EXIT_OK
 
 
 def _load_family(path: str) -> SetFamily:
@@ -142,21 +152,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_satstar(args) -> int:
     pattern = _load_pattern(args.pattern)
-    manifest = sat_star_exact(
-        args.n,
-        pattern,
-        size_cap=args.size_cap,
-        symmetry=not args.no_symmetry,
-    )
-    if args.format == "json":
-        _emit(args, manifest.to_json())
-    else:
-        result = manifest.result
-        if result["status"] == "exact":
-            print(result["value"])
-        else:
-            print(result["status"])
-    return EXIT_OK
+    manifest = sat_star_exact(args.n, pattern, size_cap=args.size_cap, symmetry=not args.no_symmetry)
+    return _emit_search(args, manifest)
 
 
 def _cmd_classify(args) -> int:
@@ -173,12 +170,7 @@ def _cmd_classify(args) -> int:
 def _cmd_noextremes(args) -> int:
     pattern = _load_pattern(args.pattern)
     manifest = sat_star_no_extremes(args.n, pattern)
-    if args.format == "json":
-        _emit(args, manifest.to_json())
-    else:
-        result = manifest.result
-        print(result["status"] if result["status"] != "exact" else result["value"])
-    return EXIT_OK
+    return _emit_search(args, manifest)
 
 
 def _cmd_q3probe(args) -> int:

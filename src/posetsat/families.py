@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 MAX_GROUND = 64
-# Full 2^n lookup tables stop being desk-scale beyond this.
+# Every 2^n-scale path (scan, certificate, greedy, decomposition) stops here.
 MAX_TABLE_N = 24
 # One bit per mask fits a 64-bit word up to here.
 WORD_MAX_N = 6

@@ -3,7 +3,8 @@
 A family is *saturated* for a pattern when it is pattern-free and every
 missing subset, once added, creates an induced copy; equivalently it is
 a maximal pattern-free family.  Full-mode checks scan all 2^n missing
-subsets in canonical (cardinality, value) order (capped at n <= 24);
+subsets in canonical (cardinality, value) order (capped at n <= 24 by
+``families.MAX_TABLE_N``, as greedy completion and the catalog are);
 spot mode samples missing subsets uniformly and is clearly labeled
 non-exhaustive unless the sample covers every missing subset.
 
@@ -78,7 +79,6 @@ from .families import (
 )
 from .posets import PatternPoset, make_hypercube
 
-MAX_FULL_N = 24
 _SAMPLE_LIMIT = 8
 
 Q3 = make_hypercube(3)
@@ -631,12 +631,12 @@ def _saturation(f: SetFamily, p: PatternPoset, mode="full", spot=64, seed=0, cer
     f is not free."""
     if mode not in ("full", "spot"):
         raise ValueError(f"mode must be 'full' or 'spot', got {mode!r}")
-    if mode == "full" and f.n > MAX_FULL_N:
-        raise ValueError(f"full mode needs n <= {MAX_FULL_N}, got {f.n}")
+    if mode == "full" and f.n > MAX_TABLE_N:
+        raise ValueError(f"full mode needs n <= {MAX_TABLE_N}, got {f.n}")
     if mode == "spot" and spot < 1:
         raise ValueError(f"spot mode needs a sample of at least 1, got {spot}")
-    if mode == "spot" and f.n > MAX_FULL_N and spot > 1 << MAX_FULL_N:
-        raise ValueError(f"spot mode above n = {MAX_FULL_N} needs a sample of at most 2^{MAX_FULL_N}, got {spot}")
+    if mode == "spot" and f.n > MAX_TABLE_N and spot > 1 << MAX_TABLE_N:
+        raise ValueError(f"spot mode above n = {MAX_TABLE_N} needs a sample of at most 2^{MAX_TABLE_N}, got {spot}")
 
     inner = _find_copy(f, p)
     if inner is not None:
@@ -711,8 +711,8 @@ def greedy_saturate(
     """
     if order not in ("canonical", "reverse", "shuffle"):
         raise ValueError(f"unknown order {order!r}")
-    if f.n > MAX_FULL_N:
-        raise ValueError(f"greedy completion needs n <= {MAX_FULL_N}, got {f.n}")
+    if f.n > MAX_TABLE_N:
+        raise ValueError(f"greedy completion needs n <= {MAX_TABLE_N}, got {f.n}")
     if not is_free(f, p):
         raise ValueError("input family already contains a copy of the pattern")
     layers = cardinality_layers(f.n)
@@ -796,9 +796,9 @@ class CatalogEntry:
 def upper_bound_catalog(n: int, p: PatternPoset) -> list[CatalogEntry]:
     """Named saturated constructions applicable to p, each verified in
     full mode before emission; failed constructions are reported, not
-    emitted.  Raises ValueError unless 1 <= n <= MAX_FULL_N."""
-    if not 1 <= n <= MAX_FULL_N:
-        raise ValueError(f"catalog needs 1 <= n <= {MAX_FULL_N}, got {n}")
+    emitted.  Raises ValueError unless 1 <= n <= MAX_TABLE_N."""
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"catalog needs 1 <= n <= {MAX_TABLE_N}, got {n}")
     if p == DIAMOND:
         builders = DIAMOND_CONSTRUCTIONS
     elif p == Q3:

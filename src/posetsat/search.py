@@ -39,12 +39,12 @@ from ._version import __version__
 from .canonical import batch_is_canonical, canonical_key
 from .detect import DIAMOND, copy_blocked, diamond_blocked
 from .families import (
-    SetFamily, after_words, canonical_order, family_to_json, family_words, full_word, popcounts, word_ranks
+    WORD_MAX_N, SetFamily, after_words, canonical_order, family_to_json, family_words, full_word, popcounts,
+    word_ranks,
 )
 from .posets import PatternPoset
 from .saturate import DIAMOND_CONSTRUCTIONS, Q3, InternalCheckError, Verdict, is_saturated, q3_construction
 
-MAX_EXACT_N = 6
 MAX_CLASSIFY_N = 5
 
 TAG_OTHER = "OTHER"
@@ -202,8 +202,8 @@ def sat_star_exact(
     ``infeasible`` when no free family can be extended to a saturated
     one (impossible without member restrictions).
     """
-    if not 1 <= n <= MAX_EXACT_N:
-        raise ValueError(f"exhaustive search needs 1 <= n <= {MAX_EXACT_N}, got {n}")
+    if not 1 <= n <= WORD_MAX_N:
+        raise ValueError(f"exhaustive search needs 1 <= n <= {WORD_MAX_N}, got {n}")
     cap = _default_cap(n, p, size_cap)
     allowed = canonical_order(n).tolist()
     manifest, winners = _run_layers("satstar", "exact", n, p, allowed, cap, symmetry)

@@ -5,7 +5,7 @@ For a diamond-free family F over [n] the decomposition collects:
 
 * ``A``  -- minimal members of F;
 * ``B0`` -- every subset of [n] that is the bottom of a diamond whose
-  other three points are members of F;
+  other three points are members of F, as a 2^n indicator table;
 * ``B1`` -- maximal elements of B0;
 * ``B``  -- elements of B1 not contained in any member of A;
 * ``GB`` -- members of F that occur as a middle point of a diamond over
@@ -18,8 +18,9 @@ by running the same construction on the complement family and
 complementing the results back.
 
 The decomposition shares the diamond scanner's tables (``saturate``):
-B0 and Y0 are its ``bottomable`` and ``topable``, and the complement
-family's superset table is ``subtab`` reversed, so none is built twice.
+B0 and Y0 are its ``bottomable`` and ``topable`` tables, not copies, and
+the complement family's superset table is ``subtab`` reversed, so none
+is built twice, and the decomposition runs wherever they do (n <= 24).
 ``verify_structure_invariants`` hands over the tables of its saturation
 scan; only the public ``decompose`` runs ``find_diamond`` and builds them.
 
@@ -33,14 +34,16 @@ the test suite and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .detect import DIAMOND, Embedding, find_diamond
 from .families import (
+    MAX_TABLE_N,
     SetFamily,
+    canonical_permutation,
     complement_family,
     elements_of,
     family_to_json,
@@ -51,7 +54,6 @@ from .families import (
 )
 from .saturate import SaturationReport, Verdict, _DiamondScanner, _first, _saturation, _scanner
 
-MAX_DECOMPOSE_N = 20
 # B0 and Y0 are listed in full in the JSON only up to this many members.
 B0_LIMIT = 4096
 
@@ -66,18 +68,21 @@ class NotDiamondFreeError(ValueError):
 
 @dataclass
 class Decomposition:
-    """All primal and dual structural families for one diamond-free F."""
+    """All primal and dual structural families for one diamond-free F.
+
+    B0 and Y0 are indicator tables that share the diamond scanner's arrays;
+    ``family`` fixes them, so ``==`` leaves them out."""
 
     family: SetFamily
     A: SetFamily
-    B0: SetFamily
+    B0: np.ndarray = field(compare=False)
     B1: SetFamily
     B: SetFamily
     GB: SetFamily
     W: int
     mA: int
     X: SetFamily
-    Y0: SetFamily
+    Y0: np.ndarray = field(compare=False)
     Y1: SetFamily
     Y: SetFamily
     HY: SetFamily
@@ -106,14 +111,13 @@ class Decomposition:
             "Y": fam(self.Y),
             "HY": fam(self.HY),
             "Wbar": list(elements_of(self.Wbar)),
-            "B0_size": len(self.B0),
-            "Y0_size": len(self.Y0),
         }
-        # B0/Y0 are downward/upward closures; emit them in full only at small scale
-        if len(self.B0) <= B0_LIMIT:
-            out["B0"] = fam(self.B0)
-        if len(self.Y0) <= B0_LIMIT:
-            out["Y0"] = fam(self.Y0)
+        # B0/Y0 are downward/upward closures; list them only at small scale
+        for name, table in (("B0", self.B0), ("Y0", self.Y0)):
+            out[f"{name}_size"] = size = int(np.count_nonzero(table))
+            if size <= B0_LIMIT:
+                masks = np.flatnonzero(table)
+                out[name] = [list(elements_of(m)) for m in masks[canonical_permutation(masks)].tolist()]
         return out
 
 
@@ -150,20 +154,20 @@ def _primal_parts(f: SetFamily, suptab: np.ndarray, gens: np.ndarray) -> tuple:
 
 
 def decompose(f: SetFamily) -> Decomposition:
-    """Compute the full decomposition; the family must be diamond-free."""
+    """Compute the full decomposition; f must be diamond-free, n <= 24."""
     return _decomposition(f, None)
 
 
 def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decomposition:
     """decompose, from the tables of a diamond scanner over f when given
-    (the family is then known to be diamond-free).
+    (the family is then known to be diamond-free); n <= 24, the table limit.
 
-    B0 and Y0 are the sets marked in ``bottomable`` and ``topable``.  The
-    complement family's superset table is ``subtab`` reversed, and its
+    B0 and Y0 are the tables ``bottomable`` and ``topable`` themselves.
+    The complement family's superset table is ``subtab`` reversed, and its
     bottom generators are the complements of the top generators.
     """
-    if f.n > MAX_DECOMPOSE_N:
-        raise ValueError(f"decomposition needs n <= {MAX_DECOMPOSE_N}, got {f.n}")
+    if f.n > MAX_TABLE_N:
+        raise ValueError(f"decomposition needs n <= {MAX_TABLE_N}, got {f.n}")
     if tables is None:
         witness = find_diamond(f)
         if witness is not None:
@@ -171,7 +175,7 @@ def _decomposition(f: SetFamily, tables: _DiamondScanner | None) -> Decompositio
         tables = _scanner(f, DIAMOND)
     full = f.full_mask
     (bottom_keys, _), (top_keys, _) = tables.bottoms, tables.tops
-    B0, Y0 = (SetFamily(f.n, tuple(np.flatnonzero(t).tolist())) for t in (tables.bottomable, tables.topable))
+    B0, Y0 = tables.bottomable, tables.topable
     A, B1, B, GB, W, mA, b_witnesses = _primal_parts(f, tables.suptab, bottom_keys)
     # the complement family's parts, complemented back
     *parts, Wbar, _, witnesses = _primal_parts(complement_family(f), tables.subtab[::-1], full ^ top_keys)

@@ -2,7 +2,11 @@ import ast
 import types
 from pathlib import Path
 
+import pytest
+
 import posetsat
+from posetsat.detect import DIAMOND
+from posetsat.families import SetFamily, subset_table
 
 # The public names of the package.  Adding or removing one is an API
 # change: update this list in the same change.
@@ -103,3 +107,37 @@ def test_no_module_imports_a_name_it_never_uses():
     }
     assert unused == {}
     assert _unused_imports("import itertools\nfrom a import b as c, d\nd()\n") == ["c", "itertools"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: posetsat.validate_embedding(posetsat.Embedding(SetFamily(2, (0, 1, 2, 3)), DIAMOND, (0, 1, 2))),
+            "mapping length differs from pattern size",
+        ),
+        (lambda: posetsat.canonical_key(SetFamily(9)), "canonical forms need n <= 8, got 9"),
+        (lambda: subset_table(25, []), "lookup table needs n <= 24, got 25"),
+        (
+            lambda: posetsat.is_saturated(SetFamily(2, (0,)), DIAMOND, mode="partial"),
+            "mode must be 'full' or 'spot', got 'partial'",
+        ),
+        (lambda: posetsat.greedy_saturate(SetFamily(25), DIAMOND), "greedy completion needs n <= 24, got 25"),
+        (lambda: posetsat.decompose(SetFamily(25)), "decomposition needs n <= 24, got 25"),
+        (lambda: posetsat.sat_star_exact(7, DIAMOND), "exhaustive search needs 1 <= n <= 6, got 7"),
+        (lambda: posetsat.classify_minimum(6, DIAMOND), "classification needs 1 <= n <= 5, got 6"),
+        (lambda: posetsat.sat_star_no_extremes(6, DIAMOND), "restricted search needs 1 <= n <= 5, got 6"),
+        (lambda: posetsat.q3_probe(3), "probe needs 4 <= n <= 6, got 3"),
+    ],
+    ids=[
+        "validate_embedding", "canonical_key", "subset_table", "is_saturated", "greedy_saturate",
+        "decompose", "sat_star_exact", "classify_minimum", "sat_star_no_extremes", "q3_probe",
+    ],
+)
+def test_range_and_validation_errors_keep_their_messages(call, message):
+    # validate_embedding returns its fault; every other call raises it
+    try:
+        fault = call()
+    except ValueError as exc:
+        fault = str(exc)
+    assert fault == message

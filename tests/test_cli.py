@@ -331,6 +331,33 @@ def test_search_text_outputs_are_pinned(capsys, argv, text):
     assert code == 0 and out == text
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_noextremes_with_an_empty_frontier_is_infeasible(capsys, n):
+    # a free family is a chain, which the empty set always extends, so none
+    # is saturated, and the chains of proper nonempty sets end before the cap
+    argv = ["noextremes", "--n", str(n), "--pattern", "antichain:2"]
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0 and out == "infeasible\n"
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("search_manifest"))
+    assert code == 0 and doc["result"] == {"status": "infeasible"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["satstar", "--n", "7", "--pattern", "diamond"], "exhaustive search needs 1 <= n <= 6, got 7"),
+        (["classify", "--n", "6", "--pattern", "diamond"], "classification needs 1 <= n <= 5, got 6"),
+        (["noextremes", "--n", "6", "--pattern", "diamond"], "restricted search needs 1 <= n <= 5, got 6"),
+        (["q3probe", "--n", "3"], "probe needs 4 <= n <= 6, got 3"),
+    ],
+)
+def test_a_search_outside_its_range_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == "" and err == f"posetsat: error: {message}\n"
+
+
 def test_hasse_draws_the_covers_of_a_chain(tmp_path, capsys):
     code, out, _ = run(capsys, "hasse", "--family", write(tmp_path, "chain3", chain_family(3)))
     assert code == 0
@@ -378,6 +405,12 @@ def test_analyze_report_validates(tmp_path, capsys, family, standing):
     assert all(c["status"] in ("pass", "n/a") for c in lemmas)
     if not standing:
         assert {c["status"] for c in lemmas[1:]} == {"n/a"}
+
+
+def test_analyze_runs_above_n_20_up_to_the_table_limit(tmp_path, capsys):
+    code, doc = analyze_json(capsys, write(tmp_path, "chain21", chain_family(21)))
+    assert code == 0 and doc["vacuous"] is False
+    assert doc["decomposition"]["B0_size"] == doc["decomposition"]["Y0_size"] == 0
 
 
 def test_analyze_exit_codes_off_the_saturated_path(tmp_path, capsys):

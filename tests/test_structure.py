@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from posetsat.detect import DIAMOND, find_diamond
 from posetsat.families import SetFamily, complement_family, elements_of, maximal_sets, minimal_sets
 from posetsat import structure
 from posetsat.posets import make_chain
-from posetsat.saturate import Verdict, chain_family, empty_plus_singletons, greedy_saturate
+from posetsat.saturate import Verdict, chain_family, empty_plus_singletons, full_plus_cosingletons, greedy_saturate
 from posetsat.structure import (
     NotDiamondFreeError,
     decompose,
@@ -33,7 +34,7 @@ def test_decompose_chain_n3():
     dec = decompose(chain_family(3))
     assert sets_of(dec.A) == {frozenset()}
     assert dec.W == 0b111
-    assert len(dec.B0) == 0 and len(dec.B) == 0 and len(dec.GB) == 0
+    assert np.count_nonzero(dec.B0) == 0 and len(dec.B) == 0 and len(dec.GB) == 0
     assert dec.mA == 0
     assert sets_of(dec.X) == {frozenset({1, 2, 3})}
     assert dec.Wbar == 0b111
@@ -51,9 +52,9 @@ def test_decompose_rejects_non_free():
 
 
 def test_decompose_reads_b0_and_y0_off_the_tables_in_bounded_memory():
-    # Y0 holds every set of at least two elements; reading it off topable
-    # peaks at 9.6 MiB, and building it through the complement family
-    # peaked at 12.2 MiB
+    # Y0 holds every set of at least two elements; keeping it as the
+    # topable table peaks at 0.4 MiB, copying it into a family peaked at
+    # 9.6 MiB, and building it through the complement family at 12.2 MiB
     f = empty_plus_singletons(16)
     tracemalloc.start()
     try:
@@ -61,13 +62,29 @@ def test_decompose_reads_b0_and_y0_off_the_tables_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(dec.B0) == 0 and len(dec.Y0) == (1 << 16) - 17
+    assert np.count_nonzero(dec.B0) == 0 and np.count_nonzero(dec.Y0) == (1 << 16) - 17
     assert peak < 11 << 20
 
 
 def test_decompose_respects_cap():
     with pytest.raises(ValueError):
-        decompose(SetFamily(21))
+        decompose(SetFamily(25))
+
+
+@pytest.mark.parametrize("build", [empty_plus_singletons, full_plus_cosingletons])
+def test_structure_suite_keeps_b0_and_y0_as_tables_in_bounded_memory(build):
+    # B0 or Y0 holds nearly all 2^20 sets; as the scanner's tables the
+    # suite peaks at 8.2 MiB, and copying them into families peaked at
+    # 156 MiB
+    f = build(20)
+    tracemalloc.start()
+    try:
+        rep = verify_structure_invariants(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.vacuous and rep.failures() == ()
+    assert peak < 12 << 20
 
 
 def test_f_of_and_w_of_examples():
@@ -100,8 +117,8 @@ def free_families(draw, max_n=4, max_size=7):
 @settings(max_examples=120, deadline=None)
 def test_b0_matches_definitional_scan(f):
     dec = decompose(f)
-    assert set(dec.B0.members) == oracles.bottom_of_diamond_masks(f)
-    assert set(dec.Y0.members) == oracles.top_of_diamond_masks(f)
+    assert set(np.flatnonzero(dec.B0).tolist()) == oracles.bottom_of_diamond_masks(f)
+    assert set(np.flatnonzero(dec.Y0).tolist()) == oracles.top_of_diamond_masks(f)
 
 
 @given(free_families())
@@ -115,7 +132,7 @@ def test_decomposition_invariants(f):
     assert not set(dec.GB.members) & set(dec.A.members)
     assert not set(dec.HY.members) & set(dec.X.members)
     # B1 = maximal elements of B0, B excludes subsets of minimal members
-    assert dec.B1 == maximal_sets(dec.B0)
+    assert dec.B1 == maximal_sets(SetFamily(f.n, tuple(np.flatnonzero(dec.B0).tolist())))
     for b in dec.B.members:
         assert not any(b & a == b for a in dec.A.members)
     # every retained witness forms a diamond over its B member
@@ -394,7 +411,9 @@ def test_report_json_is_pinned(n, seed, digest):
     rep = verify_structure_invariants(g)
     blob = json.dumps(rep.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
-    assert rep.decomposition == decompose(g)
+    dec = decompose(g)
+    assert rep.decomposition == dec
+    assert np.array_equal(rep.decomposition.B0, dec.B0) and np.array_equal(rep.decomposition.Y0, dec.Y0)
 
 
 def test_verify_vacuous_on_unsaturated():
