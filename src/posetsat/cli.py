@@ -27,13 +27,11 @@ import os
 import sys
 from pathlib import Path
 
+from . import hasse, search, structure
 from ._version import __version__
 from .families import FamilyFormatError, SetFamily, parse_family
-from .hasse import hasse_dot
 from .posets import PatternFormatError, PatternPoset, parse_pattern, pattern_from_spec
 from .saturate import InternalCheckError, Verdict, is_saturated, upper_bound_catalog
-from .search import SearchManifest, classify_minimum, q3_probe, sat_star_exact, sat_star_no_extremes
-from .structure import verify_structure_invariants
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -63,7 +61,7 @@ def _emit(args: argparse.Namespace, body: dict) -> None:
     print(json.dumps({**head, **body}, sort_keys=True, indent=2))
 
 
-def _emit_search(args: argparse.Namespace, manifest: SearchManifest) -> int:
+def _emit_search(args: argparse.Namespace, manifest: search.SearchManifest) -> int:
     """Print a search manifest as JSON, or as text its value when exact
     and its status otherwise."""
     if args.format == "json":
@@ -127,7 +125,7 @@ def _cmd_analyze(args) -> int:
     fam = _load_family(args.family)
     # a family with a diamond comes back as a vacuous report whose
     # saturation verdict is NOT_FREE, with the witness under "saturation"
-    report = verify_structure_invariants(fam)
+    report = structure.verify_structure_invariants(fam)
     if args.dot:
         # first, so that a family too large to draw or a bad path prints no report
         dec = report.decomposition
@@ -139,7 +137,7 @@ def _cmd_analyze(args) -> int:
                 "GB": set(dec.GB.members),
                 "HY": set(dec.HY.members),
             }
-        Path(args.dot).write_text(hasse_dot(fam, classes))
+        Path(args.dot).write_text(hasse.hasse_dot(fam, classes))
     _emit(args, report.to_json())
     # only a saturated family runs the checks, so only it can fail one
     if report.failures():
@@ -152,13 +150,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_satstar(args) -> int:
     pattern = _load_pattern(args.pattern)
-    manifest = sat_star_exact(args.n, pattern, size_cap=args.size_cap, symmetry=not args.no_symmetry)
+    manifest = search.sat_star_exact(args.n, pattern, size_cap=args.size_cap, symmetry=not args.no_symmetry)
     return _emit_search(args, manifest)
 
 
 def _cmd_classify(args) -> int:
     pattern = _load_pattern(args.pattern)
-    tagged, manifest = classify_minimum(args.n, pattern)
+    tagged, manifest = search.classify_minimum(args.n, pattern)
     if args.format == "json":
         _emit(args, manifest.to_json())
     else:
@@ -169,12 +167,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_noextremes(args) -> int:
     pattern = _load_pattern(args.pattern)
-    manifest = sat_star_no_extremes(args.n, pattern)
+    manifest = search.sat_star_no_extremes(args.n, pattern)
     return _emit_search(args, manifest)
 
 
 def _cmd_q3probe(args) -> int:
-    _emit(args, q3_probe(args.n))
+    _emit(args, search.q3_probe(args.n))
     return EXIT_OK
 
 
@@ -192,7 +190,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_hasse(args) -> int:
     fam = _load_family(args.family)
-    sys.stdout.write(hasse_dot(fam))
+    sys.stdout.write(hasse.hasse_dot(fam))
     return EXIT_OK
 
 
@@ -252,6 +250,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Each command loads only the modules it runs (the package defers
+    ``canonical``, ``hasse``, ``search`` and ``structure``): ``check``,
+    ``catalog`` and ``--version`` load none of them, the searches load
+    ``search`` and ``canonical``, and ``analyze`` loads ``structure``,
+    and ``hasse`` only with ``--dot``.  So the commands reach those
+    modules' functions through the modules, never through names bound
+    at import.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

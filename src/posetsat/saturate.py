@@ -367,6 +367,8 @@ class _DiamondScanner:
     (``grow``).  ``bottoms`` and ``tops`` hold pair_generators over f,
     which only ``witnesses`` and ``structure`` read; ``grow`` drops them,
     so a grown scanner answers ``creates`` and ``first_failure`` only.
+    ``middles``, the members ``first_failure`` tries in the middle role,
+    is built on its first call and dropped by ``grow`` too.
     """
 
     pattern = DIAMOND
@@ -380,21 +382,43 @@ class _DiamondScanner:
         self.bottoms, self.tops = pair_generators(ms, self.suptab, self.subtab)
         self.bottomable = superset_table(f.n, self.bottoms[0])
         self.topable = subset_table(f.n, self.tops[0])
+        self.middles = None
 
     def first_failure(self, batch: np.ndarray) -> int | None:
         """Position of the first mask in batch whose addition creates no
         diamond, or None.  Unlike witnesses, it asks of the middle role
-        only whether some member plays it."""
+        only whether some member plays it, so it may try the members in
+        any order."""
         pos = np.flatnonzero(~(self.bottomable[batch] | self.topable[batch]))
-        # members go in runs of about _FIRST_RUN entries over the masks
-        # still open, as in _first; a mask leaves at its first hit
-        x, ms, c0 = batch[pos], self.member_array, 0
+        if self.middles is None:
+            self.middles = self._middle_members()
+        # runs of members double from one up to about _FIRST_RUN entries
+        # over the masks still open, as in _first; a mask leaves at its
+        # first hit
+        x, ms, c0, width = batch[pos], self.middles, 0, 1
         while len(pos) and c0 < len(ms):
-            run = ms[c0:c0 + max(1, _FIRST_RUN // len(pos)), None]
+            run = ms[c0:c0 + min(width, max(1, _FIRST_RUN // len(pos))), None]
             missed = ~self._middle(x, run).any(0)
             pos, x = pos[missed], x[missed]
             c0 += len(run)
+            width *= 2
         return int(pos[0]) if len(pos) else None
+
+    def _middle_members(self) -> np.ndarray:
+        """The members that can pass _middle, nearest the middle layer
+        first: those with another member strictly below them (inside
+        x & d, a proper subset of d) and another strictly above (around
+        x | d).  d ^ bit is d less one element or d plus one."""
+        ms = self.member_array
+        n = self.subtab.size.bit_length() - 1
+        below, above = np.zeros(len(ms), dtype=bool), np.zeros(len(ms), dtype=bool)
+        for bit in (1 << i for i in range(n)):
+            other = ms ^ bit
+            less = other < ms
+            below |= less & self.subtab[other]
+            above |= ~less & self.suptab[other]
+        mids = ms[below & above]
+        return mids[np.argsort(np.abs(2 * popcounts(mids) - n), kind="stable")]
 
     def _middle(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Whether x and member d are the middles of a diamond in f + {x}:
@@ -481,7 +505,7 @@ class _DiamondScanner:
         _fill(self.subtab, a, up=True)
         _fill(self.suptab, a, up=False)
         self.member_array = np.concatenate((ms, [a]))
-        self.bottoms = self.tops = None
+        self.bottoms = self.tops = self.middles = None
 
 
 def _pair_keys(xs: np.ndarray, op):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -80,6 +83,48 @@ def test_public_names_are_pinned():
 def test_every_public_name_is_exported_and_no_module_is():
     assert all(hasattr(posetsat, name) for name in posetsat.__all__)
     assert not any(isinstance(getattr(posetsat, name), types.ModuleType) for name in posetsat.__all__)
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in posetsat.__all__:
+        value = getattr(posetsat, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_dir_lists_every_public_name():
+    assert set(posetsat.__all__) <= set(dir(posetsat))
+    assert {"structure", "search", "canonical", "hasse"} <= set(dir(posetsat))
+
+
+def test_an_unknown_name_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'posetsat' has no attribute 'sat_star'$"):
+        getattr(posetsat, "sat_star")
+    assert not hasattr(posetsat, "sat_star")
+
+
+@pytest.mark.parametrize("name", ["canonical", "hasse", "search", "structure"])
+def test_a_deferred_module_is_the_one_in_sys_modules(name):
+    assert getattr(posetsat, name) is sys.modules[f"posetsat.{name}"]
+
+
+def test_every_bench_layer_resolves_after_importing_the_cli():
+    # in a fresh interpreter, the deferred modules are in sys.modules
+    # before anything reads them, as a tracer that wraps them needs
+    bench = Path(__file__).parents[1] / "bench"
+    script = (
+        "import sys\n"
+        "import posetsat.cli\n"
+        "import layers\n"
+        "for t in layers.targets():\n"
+        "    assert callable(getattr(sys.modules[t.module], t.func)), t.qualname\n"
+        "print(len(layers.targets()))\n"
+    )
+    path = os.pathsep.join([str(Path(posetsat.__file__).parents[1]), str(bench)])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True,
+    )
+    assert int(proc.stdout) > 0
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -284,6 +285,46 @@ def test_a_closed_stdout_exits_1_quietly(tmp_path):
     finally:
         os.close(write_end)
     assert proc.returncode == 1 and proc.stderr == b""
+
+
+# Run the CLI as ``python -m posetsat.cli`` does, then read which deferred
+# modules ran: type() does not load a LazyLoader module, and a module
+# that has run is a plain module again.
+_WHICH_RAN = """
+import contextlib, io, runpy, sys, types
+sys.argv = ["posetsat", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("posetsat.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+ran = [m for m in ("canonical", "hasse", "search", "structure") if type(sys.modules["posetsat." + m]) is types.ModuleType]
+print([code, ran])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["--version"], []),
+        (["check", "--family", "{chain}", "--pattern", "diamond"], []),
+        (["check", "--family", "{chain}", "--pattern", "diamond", "--certificate", "--format", "text"], []),
+        (["check", "--family", "{chain}", "--pattern", "diamond", "--mode", "spot:5"], []),
+        (["catalog", "--n", "4", "--pattern", "diamond"], []),
+        (["satstar", "--n", "3", "--pattern", "diamond"], ["canonical", "search"]),
+        (["analyze", "--family", "{chain}"], ["structure"]),
+        (["analyze", "--family", "{chain}", "--dot", "{dot}"], ["hasse", "structure"]),
+    ],
+    ids=["version", "check", "certificate", "spot", "catalog", "satstar", "analyze", "analyze-dot"],
+)
+def test_each_command_runs_only_the_modules_it_needs(tmp_path, argv, ran):
+    paths = {"chain": write(tmp_path, "chain", chain_family(5)), "dot": str(tmp_path / "chain.dot")}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WHICH_RAN, *(a.format(**paths) for a in argv)],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert ast.literal_eval(proc.stdout) == [0, ran]
 
 
 @pytest.mark.parametrize(

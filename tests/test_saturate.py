@@ -959,6 +959,68 @@ def test_first_failure_is_the_first_mask_that_creates_no_diamond(f, data):
         assert scanner.first_failure(missing[cut:]) == expected
 
 
+def _first_failure_by_brute_force(scanner, batch: np.ndarray) -> int | None:
+    """first_failure with _middle tried against every member at once."""
+    middle = scanner._middle(batch, scanner.member_array[:, None]).any(0)
+    fails = np.flatnonzero(~(scanner.bottomable[batch] | scanner.topable[batch] | middle))
+    return int(fails[0]) if len(fails) else None
+
+
+def _assert_middles(scanner, f: SetFamily) -> None:
+    # the members with another member strictly below and one strictly
+    # above, nearest the middle layer first
+    ms = f.members
+    can = [d for d in ms if any(c != d and c & d == c for c in ms) and any(e != d and e & d == d for e in ms)]
+    assert sorted(scanner.middles.tolist()) == sorted(can)
+    gaps = [abs(2 * d.bit_count() - f.n) for d in scanner.middles.tolist()]
+    assert gaps == sorted(gaps)
+
+
+@st.composite
+def greedy_completions(draw):
+    """Saturated families over n <= 8, by greedy completion in every order."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from(["canonical", "reverse", "shuffle"]))
+    return greedy_saturate(SetFamily(n), D, order=order, seed=draw(st.integers(0, 999)))
+
+
+@given(st.one_of(free_families(), gap_chains(), greedy_completions()), st.integers(0, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_first_failure_tries_the_members_that_can_be_middles(f, grown, data):
+    # grow by up to three sets that create no diamond, after a scan that
+    # built the middles, so a kept list would be stale
+    scanner = saturate._DiamondScanner(f)
+    for _ in range(grown):
+        missing = np.array([m for m in canonical_order(f.n).tolist() if m not in f], dtype=np.int64)
+        scanner.first_failure(missing)
+        _assert_middles(scanner, f)
+        free = [m for m in missing.tolist() if not creates_diamond(f.members, m)]
+        if not free:
+            break
+        a = data.draw(st.sampled_from(free))
+        scanner.grow(a)
+        f = f.add(a)
+        assert scanner.middles is None
+    missing = np.array([m for m in canonical_order(f.n).tolist() if m not in f], dtype=np.int64)
+    cut = data.draw(st.integers(0, len(missing)))
+    assert scanner.first_failure(missing[cut:]) == _first_failure_by_brute_force(scanner, missing[cut:])
+    _assert_middles(scanner, f)
+    with mock.patch.object(saturate, "_FIRST_RUN", 3):
+        assert scanner.first_failure(missing[cut:]) == _first_failure_by_brute_force(scanner, missing[cut:])
+
+
+@pytest.mark.parametrize("left_out", [None, 0b111111, 0b1])
+def test_first_failure_on_a_chain_over_12_is_the_brute_force(left_out):
+    f = chain_family(12)
+    if left_out is not None:
+        f = f.without(left_out)
+    scanner = saturate._DiamondScanner(f)
+    missing = np.array([m for m in canonical_order(12).tolist() if m not in f], dtype=np.int64)
+    for batch in [missing, *np.array_split(missing, 8)]:
+        assert scanner.first_failure(batch) == _first_failure_by_brute_force(scanner, batch)
+    _assert_middles(scanner, f)
+
+
 @st.composite
 def layer_families(draw):
     """Families over n <= 12: empty, chains (a member in every layer),
