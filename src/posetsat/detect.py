@@ -408,11 +408,9 @@ def creates_copy(members: tuple[int, ...], m: int, p: PatternPoset) -> bool:
     return _through(members, m, _anchored_plans(p)) is not None
 
 
-def creates_diamond(members, m: int) -> bool:
-    """creates_copy for the diamond over a tuple or a uint64 array of masks."""
-    if isinstance(members, np.ndarray):
-        members = tuple(members.tolist())
-    return creates_copy(members, int(m), DIAMOND)
+def creates_diamond(members: tuple[int, ...], m: int) -> bool:
+    """creates_copy for the diamond."""
+    return creates_copy(members, m, DIAMOND)
 
 
 @lru_cache(maxsize=None)
@@ -565,9 +563,9 @@ def copy_blocked(n: int, p: PatternPoset, words: np.ndarray) -> np.ndarray:
     blocked = np.zeros_like(words)
     if not len(words) or popcounts(words).max() < p.size - 1:
         return blocked
-    copies, outside, one = _copy_words(n, p), ~words, np.uint64(1)
+    copies, outside = _copy_words(n, p), ~words
     step = max(1, _COPY_BLOCK // len(words))
     for c0 in range(0, len(copies), step):
         lack = copies[c0:c0 + step, None] & outside  # lack[c, f]: copy c's masks outside family f
-        blocked |= np.bitwise_or.reduce(lack, axis=0, where=lack & (lack - one) == 0, initial=0)
+        blocked |= np.bitwise_or.reduce(lack, axis=0, where=popcounts(lack) <= 1, initial=0)
     return blocked

@@ -82,14 +82,9 @@ def canonical_order(n: int) -> np.ndarray:
     return np.concatenate(list(cardinality_layers(n)))
 
 
-_BYTE_POPCOUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 def popcounts(x) -> np.ndarray:
-    """Set bits of each entry of an integer array: mask sizes, or family sizes of words."""
-    x = np.ascontiguousarray(x)
-    octets = _BYTE_POPCOUNTS[x.reshape(-1).view(np.uint8)]
-    return octets.reshape(*x.shape, x.itemsize).sum(-1, dtype=np.int64)
+    """uint8 set bits of each entry read as uint64: mask sizes, or family sizes of words."""
+    return np.bitwise_count(np.asarray(x, dtype=np.uint64))
 
 
 def canonical_permutation(masks: np.ndarray) -> np.ndarray:
@@ -132,11 +127,18 @@ def family_words(n: int, fams: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(word_bits(n)[fams], axis=1)
 
 
+def _integer(x, what: str) -> int:
+    """x as an int, if it is an integer (Python or numpy) but not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def mask_of(elements: Iterable[int], n: int) -> int:
-    """Pack elements of {1..n} into a bitmask."""
+    """Pack elements of {1..n}, integers other than bools, into a bitmask."""
     mask = 0
     for e in elements:
-        e = int(e)
+        e = _integer(e, "element")
         if not 1 <= e <= n:
             raise ValueError(f"element {e} out of range 1..{n}")
         mask |= 1 << (e - 1)
@@ -292,18 +294,20 @@ def family_to_json(f: SetFamily) -> dict:
 
 
 def family_from_json(obj: dict, strict: bool = False) -> SetFamily:
+    """Read the JSON mirror: an integer n and a list of lists of integers."""
     try:
-        n = int(obj["n"])
-        raw_sets = obj["sets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, raw_sets = _integer(obj["n"], "n"), obj["sets"]
+    except (KeyError, TypeError) as exc:
         raise FamilyFormatError(f"bad family JSON: {exc}") from None
     if not 1 <= n <= MAX_GROUND:
         raise FamilyFormatError(f"ground size must be in 1..{MAX_GROUND}, got {n}")
+    if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
+        raise FamilyFormatError("bad family JSON: sets must be a list of lists")
     seen: set[int] = set()
     for s in raw_sets:
         try:
             mask = mask_of(s, n)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise FamilyFormatError(str(exc)) from None
         _note(mask, seen, strict)
     return SetFamily(n, tuple(seen))

@@ -418,7 +418,7 @@ class _DiamondScanner:
             below |= less & self.subtab[other]
             above |= ~less & self.suptab[other]
         mids = ms[below & above]
-        return mids[np.argsort(np.abs(2 * popcounts(mids) - n), kind="stable")]
+        return mids[np.argsort(np.abs(2 * popcounts(mids).astype(np.int64) - n), kind="stable")]
 
     def _middle(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Whether x and member d are the middles of a diamond in f + {x}:
@@ -726,7 +726,7 @@ def greedy_saturate(
     candidates stream in _batches from ``cardinality_layers``: as they
     come for ``canonical``, each complemented for ``reverse`` (the
     complements of layer c, ascending, are layer n - c, descending), and
-    concatenated into one int64 array (128 MiB at n = 24) that
+    copied in turn into one int64 array (128 MiB at n = 24) that
     ``shuffle`` permutes as it would a list, by swaps.
     Each candidate is one ``creates`` of the scanner, which grows by each
     accepted set; for the diamond that is a lookup in tables grown in
@@ -743,7 +743,10 @@ def greedy_saturate(
     if order == "reverse":
         layers = (f.full_mask ^ layer for layer in layers)
     elif order == "shuffle":
-        masks = np.concatenate(list(layers))
+        masks, at = np.empty(1 << f.n, dtype=np.int64), 0
+        for layer in layers:
+            masks[at:at + len(layer)] = layer
+            at += len(layer)
         random.Random(seed).shuffle(masks)
         layers = [masks]
     scanner = _scanner(SetFamily(f.n), p)

@@ -49,6 +49,7 @@ from .families import (
     family_to_json,
     maximal_sets,
     minimal_sets,
+    popcounts,
     subset_table,
     superset_table,
 )
@@ -427,7 +428,7 @@ def _check_l24(f: SetFamily, dec: Decomposition, nested):
 )
 def _check_l25(f: SetFamily, dec: Decomposition, nested):
     # at_least[c] / at_most[c] members have at least / at most c elements
-    counts = np.bincount([m.bit_count() for m in f.members], minlength=f.n + 1)
+    counts = np.bincount(popcounts(f.members), minlength=f.n + 1)
     at_least, at_most = np.cumsum(counts[::-1])[::-1], np.cumsum(counts)
     for a in dec.A.members:
         ca = a.bit_count()
@@ -451,7 +452,7 @@ def _check_l26(f: SetFamily, dec: Decomposition, nested):
 
     def unreached(outside: np.ndarray, want: int) -> int:
         # the elements i of want with outside == {i} for no member
-        single = outside[outside & (outside - 1) == 0]
+        single = outside[popcounts(outside) <= 1]
         return want & ~int(np.bitwise_or.reduce(single))
 
     # X <= B+{i} with i in X iff X & ~B == {i}

@@ -188,6 +188,24 @@ def test_json_mirror_round_trip(f):
     assert family_from_json(json.loads(blob)) == f
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{"n": 3.7, "sets": []}',
+        '{"n": "3", "sets": []}',
+        '{"n": 3, "sets": [[1.5]]}',
+        '{"n": 3, "sets": [["2"]]}',
+        '{"n": 3, "sets": [[true]]}',
+        '{"n": 3, "sets": 5}',
+        '{"n": 3, "sets": null}',
+        '{"n": 3, "sets": [5]}',
+    ],
+)
+def test_json_mirror_takes_only_integers_in_a_list_of_lists(blob):
+    with pytest.raises(FamilyFormatError):
+        family_from_json(json.loads(blob))
+
+
 @given(families(max_n=6))
 def test_tables_match_brute_force(f):
     sup = superset_table(f.n, f.members)
@@ -262,6 +280,25 @@ def test_popcounts_read_every_bit_of_wide_and_signed_entries():
     signed = np.array(values, dtype=np.uint64).view(np.int64)
     assert popcounts(signed).tolist() == [v.bit_count() for v in values]
     assert popcounts(np.array([[3, 7]], dtype=np.int64)).tolist() == [[2, 3]]
+
+
+@pytest.mark.parametrize(
+    "x, counts",
+    [
+        (np.array([0, 5, (1 << 63) - 1], dtype=np.int64), [0, 2, 63]),
+        (np.array([1 << 63, (1 << 64) - 1], dtype=np.uint64), [1, 64]),
+        (np.array([6, (1 << 31) - 1], dtype=np.int32), [2, 31]),
+        (np.array([0, 255], dtype=np.uint8), [0, 8]),
+        ((1, 7, (1 << 64) - 1), [1, 3, 64]),
+        (np.array([[3, 7], [1 << 63, 0]], dtype=np.uint64), [[2, 3], [1, 0]]),
+        ((), []),
+    ],
+    ids=["int64", "uint64-bit-63", "int32", "uint8", "python-ints", "2d-words", "empty"],
+)
+def test_popcounts_are_uint8_counts_of_every_input(x, counts):
+    got = popcounts(x)
+    assert got.dtype == np.uint8
+    assert got.tolist() == counts
 
 
 @pytest.mark.parametrize("dtype, bits", [(np.int64, 63), (np.uint64, 64), (np.int64, 12)])

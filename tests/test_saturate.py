@@ -745,9 +745,10 @@ def test_greedy_walks_its_candidates_in_the_reference_order(monkeypatch, order):
 
 
 def test_a_shuffled_greedy_pass_over_17_runs_in_bounded_memory(monkeypatch):
-    # the pass holds the layers, their int64 concatenation (1 MiB each)
-    # and one batch as Python ints, and traces 2.0 MiB; the order shuffled
-    # as a list of 2^17 Python ints traced 5.0 MiB
+    # the pass holds the 2^17 int64 masks (1 MiB) filled one layer at a
+    # time, then one batch as Python ints, and traces 1.75 MiB; with a
+    # concatenation of the whole list of layers it traced 2.0 MiB, and
+    # with the order shuffled as a list of 2^17 Python ints 5.0 MiB
     monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll())
     tracemalloc.start()
     try:
@@ -757,6 +758,21 @@ def test_a_shuffled_greedy_pass_over_17_runs_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert g == SetFamily(17)
     assert peak < 3 << 20
+
+
+def test_a_shuffled_greedy_pass_over_20_holds_no_list_of_layers(monkeypatch):
+    # the 2^20 int64 masks (8 MiB) plus the two cardinality layers being
+    # copied trace 12.0 MiB; concatenating the whole list of layers held
+    # it beside the result and traced 16.0 MiB
+    monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll())
+    tracemalloc.start()
+    try:
+        g = greedy_saturate(SetFamily(20), D, order="shuffle", seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == SetFamily(20)
+    assert peak < 13 << 20
 
 
 def test_a_canonical_greedy_pass_over_20_runs_in_bounded_memory(monkeypatch):
