@@ -763,8 +763,11 @@ def test_a_shuffled_greedy_pass_over_17_runs_in_bounded_memory(monkeypatch):
 def test_a_shuffled_greedy_pass_over_20_holds_no_list_of_layers(monkeypatch):
     # the 2^20 int64 masks (8 MiB) plus the two cardinality layers being
     # copied trace 12.0 MiB; concatenating the whole list of layers held
-    # it beside the result and traced 16.0 MiB
+    # it beside the result and traced 16.0 MiB.  The swaps, which work in
+    # place and are traced over [17] above, are skipped: 2^20 of them
+    # take about 5 s under tracemalloc
     monkeypatch.setattr(saturate, "_scanner", lambda f, p: _PassAll())
+    monkeypatch.setattr(saturate.random.Random, "shuffle", lambda self, x: None)
     tracemalloc.start()
     try:
         g = greedy_saturate(SetFamily(20), D, order="shuffle", seed=1)
